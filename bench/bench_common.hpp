@@ -9,12 +9,17 @@
 #include "support/stopwatch.hpp"
 #include "tasking/tasking.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace pipoly::bench {
@@ -103,6 +108,40 @@ private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;
 };
+
+/// The host a measurement ran on, as JSON object members (no braces):
+/// CPUs this process may use, distinct physical packages and NUMA nodes
+/// in Linux sysfs (-1 when unreadable), and the compiler.
+inline std::string hostFactsJson() {
+  namespace fs = std::filesystem;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  const unsigned cpus = sched_getaffinity(0, sizeof(set), &set) == 0
+                            ? static_cast<unsigned>(CPU_COUNT(&set))
+                            : std::thread::hardware_concurrency();
+  std::error_code ec;
+  std::set<std::string> packages;
+  for (const fs::directory_entry& e :
+       fs::directory_iterator("/sys/devices/system/cpu", ec)) {
+    std::ifstream in(e.path() / "topology" / "physical_package_id");
+    std::string id;
+    if (in >> id)
+      packages.insert(id);
+  }
+  int nodes = 0;
+  for (const fs::directory_entry& e :
+       fs::directory_iterator("/sys/devices/system/node", ec)) {
+    const std::string name = e.path().filename().string();
+    if (name.size() > 4 && name.compare(0, 4, "node") == 0 &&
+        name.find_first_not_of("0123456789", 4) == std::string::npos)
+      ++nodes;
+  }
+  return "\"nproc\": " + std::to_string(cpus) + ", \"sockets\": " +
+         std::to_string(packages.empty() ? -1
+                                         : static_cast<int>(packages.size())) +
+         ", \"numa_nodes\": " + std::to_string(nodes > 0 ? nodes : -1) +
+         ", \"compiler\": \"" __VERSION__ "\"";
+}
 
 inline std::string fmt(double v, int precision = 2) {
   char buf[64];

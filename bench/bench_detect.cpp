@@ -34,9 +34,12 @@
 // is >= 5x faster than the cold compile, failing the run otherwise.
 //
 // --suite times serial end-to-end detection over the paper programs
-// P1-P10 at N=16 (the E17 reference metric); with --detect-cache it adds
-// a cold-vs-warm DetectCache pass over the whole suite. --json=FILE
-// writes the measurements as machine-readable JSON (BENCH_detect.json).
+// P1-P10 at N=16 (the E17 reference metric), the nmm3/gnmmt3 matmul
+// chains at N=48 and the reduction grid at N=64, each with the cost of
+// the dependence existence test next to the flow-relation emptiness it
+// replaces; with --detect-cache it adds a cold-vs-warm DetectCache pass
+// over P1-P10. --json=FILE writes the measurements and the host facts as
+// machine-readable JSON (BENCH_detect.json).
 
 #include "pipeline/detect.hpp"
 #include "pipeline/detect_cache.hpp"
@@ -44,9 +47,11 @@
 
 #include "bench_common.hpp"
 #include "codegen/task_program.hpp"
+#include "kernels/matmul.hpp"
 #include "kernels/reduction_kernels.hpp"
 #include "kernels/suite.hpp"
 #include "scop/builder.hpp"
+#include "scop/dependences.hpp"
 #include "support/stopwatch.hpp"
 #include "trace/chrome_trace.hpp"
 #include "trace/trace.hpp"
@@ -190,69 +195,130 @@ int runSmoke(bool useCache) {
   return 0;
 }
 
+/// The dependence existence test over every textually ordered pair of
+/// `scop`: scop::dependsOn when `oracle` is false, the flow-relation
+/// emptiness it replaces otherwise. Returns the dependent-pair count.
+std::size_t countDependentPairs(const scop::Scop& scop, bool oracle) {
+  std::size_t dependent = 0;
+  for (std::size_t t = 0; t < scop.numStatements(); ++t)
+    for (std::size_t s = 0; s < t; ++s)
+      if (oracle ? !scop::flowDependences(scop, s, t).empty()
+                 : scop::dependsOn(scop, t, s))
+        ++dependent;
+  return dependent;
+}
+
+/// Best-of-`reps` seconds of countDependentPairs.
+double timeExistence(const scop::Scop& scop, int reps, bool oracle) {
+  double best = 0;
+  for (int r = 0; r < reps; ++r) {
+    Stopwatch sw;
+    (void)countDependentPairs(scop, oracle);
+    const double sec = sw.seconds();
+    if (r == 0 || sec < best)
+      best = sec;
+  }
+  return best;
+}
+
 /// Serial end-to-end detection over the paper suite P1-P10 at N=16 (the
-/// EXPERIMENTS.md E17 reference), optionally with a cold/warm DetectCache
-/// pass and a JSON dump.
+/// EXPERIMENTS.md E17 reference), plus the compile-heavy rows where the
+/// dependence existence test dominates detection: the nmm3/gnmmt3 matmul
+/// chains at N=48 and the reduction grid at N=64. Per row: detection on
+/// the legacy and the default route, and the existence test over all
+/// pairs against the flow-relation emptiness it replaces. Totals stay
+/// over P1-P10 only. Optionally adds a cold/warm DetectCache pass (P1-P10)
+/// and a JSON dump with the host facts.
 int runSuite(bool useCache, const std::string& jsonPath) {
   constexpr pb::Value kN = 16;
   constexpr int kReps = 10;
-  std::vector<scop::Scop> scops;
+  struct Row {
+    std::string name;
+    pb::Value n;
+    scop::Scop scop;
+  };
+  std::vector<Row> rows;
   for (const kernels::ProgramSpec& spec : kernels::table9Programs())
-    scops.push_back(kernels::buildProgram(spec, kN));
+    rows.push_back({spec.name, kN, kernels::buildProgram(spec, kN)});
+  const std::size_t numTable9 = rows.size();
+  for (kernels::MatmulVariant v :
+       {kernels::MatmulVariant::NMM, kernels::MatmulVariant::GNMMT})
+    rows.push_back({kernels::variantName(v) + "3", 48,
+                    kernels::matmulChain(v, 3, 48)});
+  for (const kernels::ReductionKernelSpec& spec : kernels::reductionKernels())
+    rows.push_back({spec.name, 64, spec.build(64)});
 
-  pipoly::bench::Table table(
-      {"program", "serial_ms", "parametric_ms", "maps", "blocks"});
-  std::vector<double> perProgram, perParametric;
+  pipoly::bench::Table table({"program", "n", "serial_ms", "parametric_ms",
+                              "exists_ms", "flow_oracle_ms", "maps",
+                              "blocks"});
+  std::vector<double> perSerial, perParametric, perExists, perFlow;
   std::vector<std::size_t> blocks;
   double totalSerial = 0, totalParametric = 0;
-  const auto& specs = kernels::table9Programs();
-  for (std::size_t p = 0; p < scops.size(); ++p) {
+  for (std::size_t p = 0; p < rows.size(); ++p) {
+    const Row& row = rows[p];
     // serial_ms is the legacy route (ParametricMode::Off, the E17
     // reference); parametric_ms is the default Auto route on the same
     // scop — the closed forms plus per-pair fallback.
+    const int reps = row.n > kN ? 3 : kReps;
     pipeline::PipelineInfo info;
     const double sec =
-        timeDetect(scops[p], 0, kReps, &info,
+        timeDetect(row.scop, 0, reps, &info,
                    pipeline::DetectOptions::ParametricMode::Off);
     pipeline::PipelineInfo autoInfo;
     const double autoSec =
-        timeDetect(scops[p], 0, kReps, &autoInfo,
+        timeDetect(row.scop, 0, reps, &autoInfo,
                    pipeline::DetectOptions::ParametricMode::Auto);
     if (!infoEquals(info, autoInfo)) {
       std::printf("bench_detect --suite: FAIL — parametric PipelineInfo "
                   "differs from legacy on %s\n",
-                  specs[p].name.c_str());
+                  row.name.c_str());
       return 1;
     }
-    perProgram.push_back(sec);
+    if (countDependentPairs(row.scop, false) !=
+        countDependentPairs(row.scop, true)) {
+      std::printf("bench_detect --suite: FAIL — dependsOn differs from "
+                  "the flow-relation oracle on %s\n",
+                  row.name.c_str());
+      return 1;
+    }
+    const double existsSec = timeExistence(row.scop, reps, false);
+    const double flowSec = timeExistence(row.scop, reps, true);
+    perSerial.push_back(sec);
     perParametric.push_back(autoSec);
+    perExists.push_back(existsSec);
+    perFlow.push_back(flowSec);
     blocks.push_back(info.totalBlocks());
-    totalSerial += sec;
-    totalParametric += autoSec;
-    table.addRow({specs[p].name, pipoly::bench::fmt(sec * 1e3, 3),
+    if (p < numTable9) {
+      totalSerial += sec;
+      totalParametric += autoSec;
+    }
+    table.addRow({row.name, std::to_string(row.n),
+                  pipoly::bench::fmt(sec * 1e3, 3),
                   pipoly::bench::fmt(autoSec * 1e3, 3),
+                  pipoly::bench::fmt(existsSec * 1e3, 3),
+                  pipoly::bench::fmt(flowSec * 1e3, 3),
                   std::to_string(info.maps.size()),
                   std::to_string(info.totalBlocks())});
   }
-  std::printf("bench_detect --suite: P1-P10, N=%lld, serial "
-              "(best-of-%d per program)\n",
+  std::printf("bench_detect --suite: P1-P10 at N=%lld (best-of-%d), "
+              "matmul chains and reduction grid (best-of-3), serial\n",
               static_cast<long long>(kN), kReps);
   table.print();
-  std::printf("total serial: %.3f ms, parametric: %.3f ms\n",
+  std::printf("total P1-P10 serial: %.3f ms, parametric: %.3f ms\n",
               totalSerial * 1e3, totalParametric * 1e3);
 
   double coldTotal = 0, warmTotal = 0;
   if (useCache) {
     pipeline::DetectCache cache;
     Stopwatch coldSw;
-    for (const scop::Scop& s : scops)
-      (void)cache.getOrCompute(s);
+    for (std::size_t p = 0; p < numTable9; ++p)
+      (void)cache.getOrCompute(rows[p].scop);
     coldTotal = coldSw.seconds();
     warmTotal = 0;
     for (int r = 0; r < kReps; ++r) {
       Stopwatch warmSw;
-      for (const scop::Scop& s : scops)
-        (void)cache.getOrCompute(s);
+      for (std::size_t p = 0; p < numTable9; ++p)
+        (void)cache.getOrCompute(rows[p].scop);
       const double t = warmSw.seconds();
       if (r == 0 || t < warmTotal)
         warmTotal = t;
@@ -273,13 +339,16 @@ int runSuite(bool useCache, const std::string& jsonPath) {
       return 1;
     }
     out << "{\n  \"suite\": \"P1-P10\",\n  \"n\": " << kN
-        << ",\n  \"reps\": " << kReps << ",\n  \"programs\": [\n";
-    for (std::size_t p = 0; p < perProgram.size(); ++p)
-      out << "    {\"name\": \"" << specs[p].name
-          << "\", \"serial_ms\": " << perProgram[p] * 1e3
+        << ",\n  \"reps\": " << kReps << ",\n  \"host\": {"
+        << pipoly::bench::hostFactsJson() << "},\n  \"programs\": [\n";
+    for (std::size_t p = 0; p < rows.size(); ++p)
+      out << "    {\"name\": \"" << rows[p].name << "\", \"n\": " << rows[p].n
+          << ", \"serial_ms\": " << perSerial[p] * 1e3
           << ", \"parametric_ms\": " << perParametric[p] * 1e3
+          << ", \"exists_ms\": " << perExists[p] * 1e3
+          << ", \"flow_oracle_ms\": " << perFlow[p] * 1e3
           << ", \"blocks\": " << blocks[p] << "}"
-          << (p + 1 < perProgram.size() ? ",\n" : "\n");
+          << (p + 1 < rows.size() ? ",\n" : "\n");
     out << "  ],\n  \"total_serial_ms\": " << totalSerial * 1e3
         << ",\n  \"total_parametric_ms\": " << totalParametric * 1e3;
     if (useCache)

@@ -149,14 +149,16 @@ void TaskProgram::validate(const scop::Scop& scop) const {
       PIPOLY_CHECK_MSG(c->iterations.size() == blockOuts[s].size(),
                        "combine must fold exactly one partial per block "
                        "task");
-      for (const TaskDep& out : blockOuts[s]) {
-        const bool covered =
-            std::any_of(c->in.begin(), c->in.end(), [&](const TaskDep& d) {
-              return d.idx == out.idx && d.tag == out.tag;
-            });
-        PIPOLY_CHECK_MSG(covered,
+      // The combine's inputs, sorted once: O(P log P) over P partials.
+      std::vector<std::pair<int, std::int64_t>> inputs;
+      inputs.reserve(c->in.size());
+      for (const TaskDep& d : c->in)
+        inputs.emplace_back(d.idx, d.tag);
+      std::sort(inputs.begin(), inputs.end());
+      for (const TaskDep& out : blockOuts[s])
+        PIPOLY_CHECK_MSG(std::binary_search(inputs.begin(), inputs.end(),
+                                            std::make_pair(out.idx, out.tag)),
                          "combine task must depend on every partial block");
-      }
     }
   }
 }

@@ -3,6 +3,7 @@
 #include "support/assert.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace pipoly::scop {
 
@@ -43,9 +44,52 @@ pb::IntMap flowDependences(const Scop& scop, std::size_t srcIdx,
 }
 
 bool dependsOn(const Scop& scop, std::size_t tgtIdx, std::size_t srcIdx) {
-  PIPOLY_CHECK_MSG(srcIdx <= tgtIdx,
+  PIPOLY_CHECK_MSG(srcIdx < tgtIdx,
                    "dependsOn expects source textually before target");
-  return !flowDependences(scop, srcIdx, tgtIdx).empty();
+  const Statement& src = scop.statement(srcIdx);
+  const Statement& tgt = scop.statement(tgtIdx);
+  bool found = false;
+  std::vector<std::uint64_t> written; // linearized cells, sorted, unique
+  for (std::size_t arrayId : scop.arraysWrittenBy(srcIdx)) {
+    const Array& arr = scop.array(arrayId);
+    std::uint64_t cells = 1;
+    bool fits = true;
+    for (pb::Value extent : arr.shape)
+      fits = fits && !__builtin_mul_overflow(
+                         cells,
+                         static_cast<std::uint64_t>(std::max<pb::Value>(
+                             extent, 0)),
+                         &cells);
+    PIPOLY_CHECK_MSG(fits, "array " + arr.name + " too large to linearize");
+    const auto linear = [&arr](const pb::Value* subs) {
+      std::uint64_t cell = 0; // row-major; subs are bounds-checked
+      for (std::size_t d = 0; d < arr.rank(); ++d)
+        cell = cell * static_cast<std::uint64_t>(arr.shape[d]) +
+               static_cast<std::uint64_t>(subs[d]);
+      return cell;
+    };
+
+    written.clear();
+    for (const Access& w : src.writes())
+      if (w.arrayId == arrayId)
+        scop.forEachAccessCell(srcIdx, w,
+                               [&](const pb::Value*, const pb::Value* subs) {
+                                 written.push_back(linear(subs));
+                               });
+    std::sort(written.begin(), written.end());
+    written.erase(std::unique(written.begin(), written.end()), written.end());
+
+    // Every read is walked to the end, hit or not: the walk is also the
+    // bounds check of each access the explicit relation would have built.
+    for (const Access& r : tgt.reads())
+      if (r.arrayId == arrayId)
+        scop.forEachAccessCell(
+            tgtIdx, r, [&](const pb::Value*, const pb::Value* subs) {
+              found = found || std::binary_search(written.begin(),
+                                                  written.end(), linear(subs));
+            });
+  }
+  return found;
 }
 
 pb::IntMap selfDependences(const Scop& scop, std::size_t stmtIdx) {

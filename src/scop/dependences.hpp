@@ -3,9 +3,10 @@
 // Dependence analysis over the SCoP:
 //
 //  * cross-statement flow dependences (writer statement -> reader
-//    statement), which Algorithm 1 consults to decide whether a pipeline
-//    map between a pair of statements exists at all, and which the
-//    execution validator uses as ground truth;
+//    statement): the explicit relation, which the execution validator
+//    uses as ground truth, and the existence test dependsOn, which
+//    Algorithm 1 consults to decide whether a pipeline map between a
+//    pair of statements exists at all and which never builds it;
 //
 //  * intra-statement carried-dependence analysis (flow, anti and output
 //    self-dependences), which the Polly-like baseline uses to decide which
@@ -24,8 +25,16 @@ namespace pipoly::scop {
 pb::IntMap flowDependences(const Scop& scop, std::size_t srcIdx,
                            std::size_t tgtIdx);
 
-/// True when some iteration of `tgtIdx` reads a value written by `srcIdx`.
-/// Requires srcIdx < tgtIdx (textual order) or srcIdx == tgtIdx.
+/// True when some iteration of `tgtIdx` reads a value written by `srcIdx`
+/// — the existence test of Algorithm 1, equal to
+/// `!flowDependences(scop, srcIdx, tgtIdx).empty()` without building that
+/// relation. Per array `srcIdx` writes, the written cells are collected
+/// (linearized, sorted, unique) and every cell `tgtIdx` reads, aux
+/// rectangle included, is binary-searched in them. Each access the
+/// relation would have built is still walked in full and bounds-checked,
+/// so an out-of-bounds write or read throws "access out of bounds" as
+/// before. Requires srcIdx < tgtIdx (textual order; the self pair is
+/// selfDependences' job).
 bool dependsOn(const Scop& scop, std::size_t tgtIdx, std::size_t srcIdx);
 
 /// Per-dimension parallelism of one statement's nest: dimension d is

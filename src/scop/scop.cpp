@@ -62,43 +62,39 @@ std::uint64_t reductionIdentity(ReductionOp op) {
   return 0;
 }
 
-pb::IntMap Scop::accessRelation(std::size_t stmtIdx,
-                                const Access& access) const {
-  const Statement& stmt = statement(stmtIdx);
-  const Array& arr = array(access.arrayId);
+void Scop::checkAccessShape(const Statement& stmt, const Array& arr,
+                            const Access& access) {
   PIPOLY_CHECK_MSG(access.subscripts.numOutputs() == arr.rank(),
                    "subscript count does not match rank of array " + arr.name);
   PIPOLY_CHECK_MSG(access.subscripts.numInputs() ==
                        stmt.depth() + access.numAuxDims(),
                    "subscript function arity mismatch for " + stmt.name());
+}
 
-  // Auxiliary dimensions range over a rectangle; enumerate it once.
-  std::vector<pb::Tuple> auxPoints;
-  if (access.numAuxDims() == 0)
-    auxPoints.push_back(pb::Tuple{});
-  else
-    for (pb::TupleView aux : pb::IntTupleSet::rectangle(
-                                 pb::Space("aux", access.numAuxDims()),
-                                 access.auxExtents)
-                                 .points())
-      auxPoints.emplace_back(aux);
+void Scop::throwOutOfBounds(const Statement& stmt, const Array& arr,
+                            const pb::Value* it, const pb::Value* subs) {
+  detail::checkFailed("subs[d] >= 0 && subs[d] < arr.shape[d]",
+                      "access out of bounds: " + stmt.name() +
+                          pb::Tuple(it, stmt.depth()).toString() + " -> " +
+                          arr.name + pb::Tuple(subs, arr.rank()).toString(),
+                      std::source_location::current());
+}
 
+pb::IntMap Scop::accessRelation(std::size_t stmtIdx,
+                                const Access& access) const {
+  const Statement& stmt = statement(stmtIdx);
+  const Array& arr = array(access.arrayId);
   const std::size_t depth = stmt.depth(), rank = arr.rank();
+  std::size_t auxPoints = 1;
+  for (pb::Value e : access.auxExtents)
+    auxPoints *= static_cast<std::size_t>(std::max<pb::Value>(e, 0));
   pb::RowBuffer rows;
-  rows.reserve(stmt.domain().size() * auxPoints.size() * (depth + rank));
-  for (pb::TupleView itv : stmt.domain().points()) {
-    const pb::Tuple it(itv);
-    for (const pb::Tuple& aux : auxPoints) {
-      pb::Tuple subs = access.subscripts.evaluate(concat(it, aux));
-      for (std::size_t d = 0; d < rank; ++d)
-        PIPOLY_CHECK_MSG(subs[d] >= 0 && subs[d] < arr.shape[d],
-                         "access out of bounds: " + stmt.name() +
-                             it.toString() + " -> " + arr.name +
-                             subs.toString());
-      pb::rows::append(rows, it.data(), depth);
-      pb::rows::append(rows, subs.data(), rank);
-    }
-  }
+  rows.reserve(stmt.domain().size() * auxPoints * (depth + rank));
+  forEachAccessCell(stmtIdx, access,
+                    [&](const pb::Value* it, const pb::Value* subs) {
+                      pb::rows::append(rows, it, depth);
+                      pb::rows::append(rows, subs, rank);
+                    });
   // Domain iteration is in order; with a single aux point the rows come
   // out sorted and fromRows skips the sort after one linear check.
   return pb::IntMap::fromRows(stmt.space(), arr.space(), std::move(rows));

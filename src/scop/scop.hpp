@@ -11,6 +11,7 @@
 #include "presburger/polyhedron.hpp"
 #include "presburger/set.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -108,6 +109,16 @@ public:
   /// { stmt iteration -> array element }.
   pb::IntMap accessRelation(std::size_t stmtIdx, const Access& access) const;
 
+  /// Walks every (iteration, aux point) of one access, domain-major and
+  /// aux-lexicographic (the row order of accessRelation), and calls
+  /// visit(iteration, subscripts) with flat pointers to depth resp. rank
+  /// values that are valid for the call only. No tuple is built per point.
+  /// Throws "access out of bounds" on the first subscript outside the
+  /// array — the check every explicit access relation goes through.
+  template <typename Visit>
+  void forEachAccessCell(std::size_t stmtIdx, const Access& access,
+                         Visit&& visit) const;
+
   /// Union of all write (resp. read) access relations of a statement into
   /// one array.
   pb::IntMap writeRelation(std::size_t stmtIdx, std::size_t arrayId) const;
@@ -120,9 +131,72 @@ public:
   std::string toString() const;
 
 private:
+  /// Checks the subscript function's arity against the statement and the
+  /// array.
+  static void checkAccessShape(const Statement& stmt, const Array& arr,
+                               const Access& access);
+  [[noreturn]] static void throwOutOfBounds(const Statement& stmt,
+                                            const Array& arr,
+                                            const pb::Value* it,
+                                            const pb::Value* subs);
+
   std::string name_;
   std::vector<Array> arrays_;
   std::vector<Statement> statements_;
 };
+
+template <typename Visit>
+void Scop::forEachAccessCell(std::size_t stmtIdx, const Access& access,
+                             Visit&& visit) const {
+  const Statement& stmt = statement(stmtIdx);
+  const Array& arr = array(access.arrayId);
+  checkAccessShape(stmt, arr, access);
+  for (pb::Value e : access.auxExtents)
+    if (e <= 0)
+      return; // empty aux rectangle: the access touches nothing
+
+  // Row-major coefficients: subscript r = consts[r] + coeffs[r*width ..]
+  // . (iteration, aux).
+  const std::size_t depth = stmt.depth(), rank = arr.rank(),
+                    naux = access.numAuxDims(), width = depth + naux;
+  std::vector<pb::Value> coeffs(rank * width), consts(rank);
+  for (std::size_t r = 0; r < rank; ++r) {
+    const pb::AffineExpr& e = access.subscripts.output(r);
+    for (std::size_t c = 0; c < width; ++c)
+      coeffs[r * width + c] = e.coeff(c);
+    consts[r] = e.constantTerm();
+  }
+
+  std::vector<pb::Value> base(rank), subs(rank), aux(naux);
+  const pb::Value* points = stmt.domain().rowData().data();
+  for (std::size_t p = 0, n = stmt.domain().size(); p < n; ++p) {
+    const pb::Value* it = depth == 0 ? points : points + p * depth;
+    for (std::size_t r = 0; r < rank; ++r) {
+      pb::Value v = consts[r];
+      for (std::size_t c = 0; c < depth; ++c)
+        v += coeffs[r * width + c] * it[c];
+      base[r] = v;
+    }
+    std::fill(aux.begin(), aux.end(), pb::Value{0});
+    for (;;) {
+      for (std::size_t r = 0; r < rank; ++r) {
+        pb::Value v = base[r];
+        for (std::size_t a = 0; a < naux; ++a)
+          v += coeffs[r * width + depth + a] * aux[a];
+        subs[r] = v;
+      }
+      for (std::size_t r = 0; r < rank; ++r)
+        if (subs[r] < 0 || subs[r] >= arr.shape[r])
+          throwOutOfBounds(stmt, arr, it, subs.data());
+      visit(it, static_cast<const pb::Value*>(subs.data()));
+      // Odometer step over the aux rectangle.
+      std::size_t a = naux;
+      while (a > 0 && ++aux[a - 1] == access.auxExtents[a - 1])
+        aux[--a] = 0;
+      if (a == 0)
+        break;
+    }
+  }
+}
 
 } // namespace pipoly::scop

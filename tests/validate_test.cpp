@@ -5,10 +5,13 @@
 
 #include "codegen/task_program.hpp"
 
+#include "kernels/reduction_kernels.hpp"
 #include "support/assert.hpp"
 #include "testing/fixtures.hpp"
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 namespace pipoly::codegen {
 namespace {
@@ -118,6 +121,85 @@ TEST(ValidateTest, RejectsRenumberedIds) {
   TaskProgram prog = freshProgram();
   prog.tasks[2].id = 99;
   EXPECT_THROW(prog.validate(fixtureScop()), Error);
+}
+
+// --- Reduction combine invariants ----------------------------------------
+
+scop::Scop reductionScop() { return kernels::dotProductChain(16); }
+
+/// The index of the (single) combine task of a compiled reduction program.
+std::size_t combineIndex(const TaskProgram& prog) {
+  for (const Task& t : prog.tasks)
+    if (t.kind == TaskKind::ReductionCombine)
+      return t.id;
+  ADD_FAILURE() << "no combine task";
+  return 0;
+}
+
+void expectRejected(const TaskProgram& prog, const scop::Scop& scop,
+                    const std::string& message) {
+  try {
+    prog.validate(scop);
+    ADD_FAILURE() << "accepted; expected: " << message;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+        << e.what();
+  }
+}
+
+/// Appends a copy of task `idx` with a fresh out tag (so the duplicate
+/// passes the unique-out and creation-order checks).
+void appendCopy(TaskProgram& prog, std::size_t idx) {
+  Task copy = prog.tasks[idx];
+  copy.id = prog.tasks.size();
+  copy.out.tag = 1'000'000 + static_cast<std::int64_t>(copy.id);
+  prog.tasks.push_back(std::move(copy));
+}
+
+TEST(ValidateCombineTest, PristineReductionProgramPasses) {
+  const scop::Scop scop = reductionScop();
+  const TaskProgram prog = compilePipeline(scop);
+  EXPECT_GT(prog.tasks[combineIndex(prog)].iterations.size(), 1u);
+  EXPECT_NO_THROW(prog.validate(scop));
+}
+
+TEST(ValidateCombineTest, RejectsMissingPartialDependency) {
+  const scop::Scop scop = reductionScop();
+  TaskProgram prog = compilePipeline(scop);
+  Task& combine = prog.tasks[combineIndex(prog)];
+  const auto partial =
+      std::find_if(combine.in.begin(), combine.in.end(), [&](const TaskDep& d) {
+        return d.idx == static_cast<int>(combine.stmtIdx);
+      });
+  ASSERT_NE(partial, combine.in.end());
+  combine.in.erase(partial);
+  expectRejected(prog, scop, "combine task must depend on every partial block");
+}
+
+TEST(ValidateCombineTest, RejectsFoldCountMismatch) {
+  const scop::Scop scop = reductionScop();
+  TaskProgram prog = compilePipeline(scop);
+  Task& combine = prog.tasks[combineIndex(prog)];
+  combine.iterations.pop_back();
+  combine.blockRep = combine.iterations.back();
+  expectRejected(prog, scop, "combine must fold exactly one partial per block");
+}
+
+TEST(ValidateCombineTest, RejectsPartialBlockAfterCombine) {
+  const scop::Scop scop = reductionScop();
+  TaskProgram prog = compilePipeline(scop);
+  const std::size_t combine = combineIndex(prog);
+  ASSERT_GT(combine, 0u);
+  ASSERT_EQ(prog.tasks[combine - 1].stmtIdx, prog.tasks[combine].stmtIdx);
+  appendCopy(prog, combine - 1);
+  expectRejected(prog, scop, "partial blocks must precede their combine task");
+}
+
+TEST(ValidateCombineTest, RejectsSecondCombineTask) {
+  const scop::Scop scop = reductionScop();
+  TaskProgram prog = compilePipeline(scop);
+  appendCopy(prog, combineIndex(prog));
+  expectRejected(prog, scop, "at most one combine task per statement");
 }
 
 } // namespace
