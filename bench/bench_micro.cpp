@@ -227,7 +227,7 @@ void BM_Optimize(benchmark::State& state) {
     benchmark::DoNotOptimize(stats);
   }
 }
-BENCHMARK(BM_Optimize)->Arg(16)->Arg(32);
+BENCHMARK(BM_Optimize)->Arg(16)->Arg(32)->Arg(64);
 
 // Dependency resolution, legacy vs interned: what a backend pays per run
 // to map each in-dependency (idx, tag) to its producer.

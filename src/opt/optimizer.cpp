@@ -23,14 +23,16 @@ std::size_t countEdges(const TaskProgram& program) {
   return edges;
 }
 
-/// Resolves every in-dependency of every task to the producing task id.
-/// Returns the flattened per-task predecessor lists (offsets like
-/// SlotTable). O(tasks + edges) through the hashed owner index.
+/// Every in-dependency of every task resolved to its producing task id,
+/// flattened per task (offsets like SlotTable) and parallel to each
+/// task's `in`. optimize() resolves once and shares the lists between
+/// the passes; reduction compacts them to the edges it keeps.
 struct PredLists {
   std::vector<std::uint32_t> preds;
   std::vector<std::uint32_t> offsets;
 };
 
+/// O(tasks + edges) through the hashed owner index.
 PredLists resolvePredecessors(const TaskProgram& program) {
   const codegen::OutOwnerIndex owner = program.buildOutOwnerIndex();
   PredLists lists;
@@ -50,66 +52,145 @@ PredLists resolvePredecessors(const TaskProgram& program) {
   return lists;
 }
 
+std::vector<std::uint32_t> countDependents(const PredLists& lists,
+                                           std::size_t numTasks) {
+  std::vector<std::uint32_t> dependents(numTasks, 0);
+  for (std::uint32_t p : lists.preds)
+    ++dependents[p];
+  return dependents;
+}
+
 /// Pass 1: transitive reduction. Creation order is a topological order
 /// (validated: every in-dependency names an earlier task), so one forward
-/// sweep computes each task's ancestor set as the union of its direct
-/// predecessors' ancestor sets plus the predecessors themselves. An edge
-/// p -> v is implied exactly when p is an ancestor of another direct
-/// predecessor of v; dropping it leaves the closure untouched.
+/// sweep decides every edge: p -> v is implied exactly when p is a strict
+/// ancestor of another direct predecessor of v, and dropping it leaves
+/// the closure untouched. A DAG has exactly one transitive reduction, so
+/// the result does not depend on how ancestry is represented.
 ///
 /// Under chainOrdering the same-statement funcCount edge is kept even if
 /// implied — TaskProgram::validate() requires the chain to be explicit,
 /// and backends with funcCountOrdering re-derive it anyway.
 ///
-/// Bitset ancestor sets: O(V^2/64) memory, O(V*E/64) time. The programs
-/// this repository generates are a few thousand tasks at the extreme
-/// (P1-P10 at N=16 are tens to hundreds), so the dense representation is
-/// both the fastest and the simplest correct choice.
-std::size_t transitiveReduce(TaskProgram& program) {
+/// Ancestry is kept as per-chain labels, not as a dense V x V set: the
+/// compile_mix benchmark lowers programs of ~16k tasks, where a dense set
+/// is a 32 MB matrix per call. The same sweep covers the tasks with
+/// chains, which are paths of the graph: a task extends the chain of a
+/// predecessor that is still that chain's tail, preferring its
+/// selfOrdering predecessor, and otherwise starts a new chain. (Under
+/// chainOrdering a statement's blocks are contiguous, so each statement's
+/// blocks lie on one chain.) Since a chain is a path, a task's ancestors
+/// on a chain form a prefix of it, and one number per chain — the highest
+/// ancestor position — describes them. label(v) holds that number for
+/// each chain, counting only tasks with >= 2 dependents: an edge out of a
+/// task with a single dependent is never implied (a path to another
+/// predecessor would be a second dependent). That keeps, for example,
+/// reduction partial blocks, whose one dependent is the combine, out of
+/// every label. The test stays exact: if p is an ancestor of a
+/// predecessor it has >= 2 dependents and is counted itself; if a counted
+/// ancestor sits at or above p's position, p is an ancestor by the prefix
+/// property.
+///
+/// Cost: O((V + E) * W) time and O(V * W) label memory, where W is the
+/// number of chains in a label — the statement count on chain-ordered
+/// programs.
+std::size_t transitiveReduce(TaskProgram& program, PredLists& lists) {
+  constexpr std::uint32_t kNone = UINT32_MAX;
   const std::size_t n = program.tasks.size();
-  if (n == 0)
-    return 0;
-  const PredLists lists = resolvePredecessors(program);
-  const std::size_t words = (n + 63) / 64;
-  std::vector<std::uint64_t> ancestors(n * words, 0);
-  std::vector<std::uint64_t> predUnion(words);
+  const std::vector<std::uint32_t> dependents = countDependents(lists, n);
+
+  std::vector<std::uint32_t> chainOf(n), posOf(n);
+  std::vector<std::uint32_t> chainTail; // per chain: its last task
+  struct LabelEntry {
+    std::uint32_t chain, pos;
+  };
+  std::vector<LabelEntry> labels; // per task, flattened
+  std::vector<std::uint32_t> labelOffsets;
+  labelOffsets.reserve(n + 1);
+  labelOffsets.push_back(0);
+  std::vector<std::uint32_t> best; // per chain: the union being built
+  std::vector<std::uint32_t> touched;
+  auto raise = [&](std::uint32_t chain, std::uint32_t pos) {
+    if (best[chain] == kNone) {
+      touched.push_back(chain);
+      best[chain] = pos;
+    } else {
+      best[chain] = std::max(best[chain], pos);
+    }
+  };
 
   std::size_t removed = 0;
-  for (Task& t : program.tasks) {
-    std::fill(predUnion.begin(), predUnion.end(), 0);
-    const std::uint32_t* predBegin = lists.preds.data() + lists.offsets[t.id];
-    const std::uint32_t* predEnd =
-        lists.preds.data() + lists.offsets[t.id + 1];
-    for (const std::uint32_t* p = predBegin; p != predEnd; ++p) {
-      const std::uint64_t* row = ancestors.data() + std::size_t{*p} * words;
-      for (std::size_t w = 0; w < words; ++w)
-        predUnion[w] |= row[w];
+  std::uint32_t begin = 0; // original start of task v's predecessors
+  std::uint32_t write = 0; // end of the compacted lists
+  for (std::size_t v = 0; v < n; ++v) {
+    Task& t = program.tasks[v];
+    const std::uint32_t end = lists.offsets[v + 1];
+
+    // Chain cover: extend the chain of a predecessor that is still its
+    // tail, the selfOrdering one first; otherwise start a new chain.
+    std::uint32_t chain = kNone;
+    for (std::uint32_t k = begin; k < end; ++k) {
+      const std::uint32_t p = lists.preds[k];
+      if (chainTail[chainOf[p]] != p)
+        continue;
+      const bool self = t.in[k - begin].selfOrdering;
+      if (chain == kNone || self)
+        chain = chainOf[p];
+      if (self)
+        break;
+    }
+    if (chain == kNone) {
+      chain = static_cast<std::uint32_t>(chainTail.size());
+      chainTail.push_back(static_cast<std::uint32_t>(v));
+      best.push_back(kNone);
+      posOf[v] = 0;
+    } else {
+      posOf[v] = posOf[chainTail[chain]] + 1;
+      chainTail[chain] = static_cast<std::uint32_t>(v);
+    }
+    chainOf[v] = chain;
+
+    // Union of the predecessors' labels: their counted strict ancestors.
+    for (std::uint32_t k = begin; k < end; ++k) {
+      const std::uint32_t p = lists.preds[k];
+      for (std::uint32_t e = labelOffsets[p]; e < labelOffsets[p + 1]; ++e)
+        raise(labels[e].chain, labels[e].pos);
     }
 
-    // An edge is redundant iff its producer is an ancestor of another
-    // direct predecessor (a task is never its own ancestor, so membership
-    // in the union is exactly that test).
-    std::vector<TaskDep> kept;
-    kept.reserve(t.in.size());
-    for (std::size_t k = 0; k < t.in.size(); ++k) {
-      const std::uint32_t p = predBegin[k];
-      const bool implied = (predUnion[p / 64] >> (p % 64)) & 1;
-      if (implied && !(program.chainOrdering && t.in[k].selfOrdering)) {
+    // Decide and compact; an implied producer sits at or below the
+    // highest counted ancestor on its chain.
+    std::size_t kept = 0;
+    for (std::uint32_t k = begin; k < end; ++k) {
+      const std::uint32_t p = lists.preds[k];
+      const std::uint32_t top = best[chainOf[p]];
+      const bool implied = top != kNone && top >= posOf[p];
+      if (implied &&
+          !(program.chainOrdering && t.in[k - begin].selfOrdering)) {
         ++removed;
         continue;
       }
-      kept.push_back(t.in[k]);
+      t.in[kept++] = t.in[k - begin];
+      lists.preds[write++] = p;
     }
-    t.in = std::move(kept);
+    t.in.resize(kept);
+    begin = end;
+    lists.offsets[v + 1] = write;
 
-    // ancestors(t) = union of predecessors' ancestors + the predecessors.
-    // Computed from the *original* edges — the reduction preserves the
-    // closure, so either edge set yields the same ancestor sets.
-    std::uint64_t* row = ancestors.data() + t.id * words;
-    std::copy(predUnion.begin(), predUnion.end(), row);
-    for (const std::uint32_t* p = predBegin; p != predEnd; ++p)
-      row[*p / 64] |= std::uint64_t{1} << (*p % 64);
+    // label(v) = the union plus the counted direct predecessors. A dropped
+    // predecessor is already in the union: it is an ancestor of a kept one.
+    for (std::uint32_t k = write - static_cast<std::uint32_t>(kept);
+         k < write; ++k) {
+      const std::uint32_t p = lists.preds[k];
+      if (dependents[p] >= 2)
+        raise(chainOf[p], posOf[p]);
+    }
+    for (std::uint32_t c : touched) {
+      labels.push_back({c, best[c]});
+      best[c] = kNone;
+    }
+    touched.clear();
+    labelOffsets.push_back(static_cast<std::uint32_t>(labels.size()));
   }
+  lists.preds.resize(write);
   return removed;
 }
 
@@ -129,6 +210,7 @@ struct PlacedScore {
 };
 
 PlacedScore scorePlacement(const TaskProgram& program,
+                           const PredLists& lists,
                            const pipeline::CommInfo& comm,
                            const std::optional<rt::Topology>& topology,
                            double lambda) {
@@ -155,7 +237,6 @@ PlacedScore scorePlacement(const TaskProgram& program,
 
   // Surviving cross-stage dependency pairs = the channels the backend
   // would build; bytes from the analysis (1 when unanalyzed).
-  const PredLists lists = resolvePredecessors(program);
   std::vector<std::vector<bool>> seen(numStages,
                                       std::vector<bool>(numStages, false));
   std::vector<rt::StageEdge> edges;
@@ -209,7 +290,8 @@ PlacedScore scorePlacement(const TaskProgram& program,
 ///   * `next`'s only in-dependency is on that tail, and
 ///   * the concatenated iteration list stays lexicographically sorted
 ///     (validate() and the sequential-per-task execution order need it).
-std::size_t fuseChains(TaskProgram& program, std::size_t width,
+std::size_t fuseChains(TaskProgram& program, const PredLists& lists,
+                       std::size_t width,
                        const std::vector<std::size_t>* stmtWidth = nullptr) {
   const std::size_t n = program.tasks.size();
   const std::size_t maxWidth =
@@ -218,10 +300,7 @@ std::size_t fuseChains(TaskProgram& program, std::size_t width,
           : width;
   if (n < 2 || maxWidth < 2)
     return 0;
-  const PredLists lists = resolvePredecessors(program);
-  std::vector<std::uint32_t> dependents(n, 0);
-  for (std::uint32_t p : lists.preds)
-    ++dependents[p];
+  const std::vector<std::uint32_t> dependents = countDependents(lists, n);
 
   std::vector<Task> fused;
   fused.reserve(n);
@@ -305,11 +384,13 @@ OptimizeStats optimize(codegen::TaskProgram& program,
   // per-statement fusion widths from where its channels land on the
   // topology, and re-score after the passes — the before/after pair is
   // the bytes-moved objective the mode optimizes for.
+  PredLists lists = resolvePredecessors(program);
   std::vector<std::size_t> stmtWidths;
   const bool placementAware = options.comm != nullptr;
   if (placementAware) {
-    const PlacedScore before = scorePlacement(
-        program, *options.comm, options.topology, options.placementLambda);
+    const PlacedScore before =
+        scorePlacement(program, lists, *options.comm, options.topology,
+                       options.placementLambda);
     stats.placedCommCostBefore = before.placement.commCost;
     stats.crossDomainBytesBefore = before.placement.crossDomainBytes;
     if (options.fusionWidth > 1) {
@@ -324,16 +405,18 @@ OptimizeStats optimize(codegen::TaskProgram& program,
   }
   if (options.transitiveReduction) {
     trace::Span pass("opt.transitive_reduction");
-    stats.edgesRemoved = transitiveReduce(program);
+    stats.edgesRemoved = transitiveReduce(program, lists);
   }
   if (options.fusionWidth > 1) {
     trace::Span pass("opt.chain_fusion");
-    stats.tasksFused = fuseChains(program, options.fusionWidth,
-                                  stmtWidths.empty() ? nullptr : &stmtWidths);
+    stats.tasksFused =
+        fuseChains(program, lists, options.fusionWidth,
+                   stmtWidths.empty() ? nullptr : &stmtWidths);
   }
   if (placementAware) {
-    const PlacedScore after = scorePlacement(
-        program, *options.comm, options.topology, options.placementLambda);
+    const PlacedScore after =
+        scorePlacement(program, resolvePredecessors(program), *options.comm,
+                       options.topology, options.placementLambda);
     stats.placedCommCostAfter = after.placement.commCost;
     stats.crossDomainBytesAfter = after.placement.crossDomainBytes;
   }

@@ -28,13 +28,20 @@ struct TlsCache {
 thread_local TlsCache tlsCache;
 thread_local std::string tlsThreadName;
 
-void emit(EventKind kind, const char* name, std::int64_t arg, double value) {
+/// Runs f(session) inside the grace-period bracket when a session is
+/// active; a no-op (one relaxed load) otherwise.
+template <class F> void withActiveSession(F&& f) {
   if (gActive.load(std::memory_order_relaxed) == nullptr)
     return; // fast path: tracing off
   gInFlight.fetch_add(1, std::memory_order_seq_cst);
   if (Session* s = gActive.load(std::memory_order_seq_cst))
-    detail_record(s, kind, name, arg, value);
+    f(s);
   gInFlight.fetch_sub(1, std::memory_order_release);
+}
+
+void emit(EventKind kind, const char* name, std::int64_t arg, double value) {
+  withActiveSession(
+      [&](Session* s) { detail_record(s, kind, name, arg, value); });
 }
 
 } // namespace
@@ -48,7 +55,14 @@ bool enabled() {
   return gActive.load(std::memory_order_relaxed) != nullptr;
 }
 
-void setThreadName(std::string name) { tlsThreadName = std::move(name); }
+void setThreadName(std::string name) {
+  tlsThreadName = std::move(name);
+  // Register with the active session now, so the thread gets its named
+  // track even if it never emits (an idle pool worker).
+  withActiveSession([](Session* s) {
+    s->thisThreadBuffer()->threadName = tlsThreadName;
+  });
+}
 
 void beginSpan(const char* name, std::int64_t arg) {
   emit(EventKind::Begin, name, arg, 0.0);
@@ -96,13 +110,16 @@ Session::ThreadBuffer* Session::registerThisThread() {
   return raw;
 }
 
+Session::ThreadBuffer* Session::thisThreadBuffer() {
+  // The grace period (the callers' in-flight bracket) guarantees this
+  // session is not being drained, so the TLS-cached buffer pointer is safe.
+  return tlsCache.epoch == epoch_ ? static_cast<ThreadBuffer*>(tlsCache.buffer)
+                                  : registerThisThread();
+}
+
 void Session::record(EventKind kind, const char* name, std::int64_t arg,
                      double value) {
-  // The grace period (emit()'s in-flight bracket) guarantees this session
-  // is not being drained, so the TLS-cached buffer pointer is safe.
-  ThreadBuffer* buffer = tlsCache.epoch == epoch_
-                             ? static_cast<ThreadBuffer*>(tlsCache.buffer)
-                             : registerThisThread();
+  ThreadBuffer* buffer = thisThreadBuffer();
   const std::int64_t ts =
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - begin_)

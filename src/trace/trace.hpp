@@ -12,8 +12,9 @@
 //
 //  2. **No cross-thread contention when on.** Each thread appends raw
 //     events to its own thread-local buffer; buffers register themselves
-//     with the session on a thread's first event and are drained only at
-//     Session::stop(). Threads never contend on a shared event sink.
+//     with the session on a thread's first event (or setThreadName call)
+//     and are drained only at Session::stop(). Threads never contend on
+//     a shared event sink.
 //
 //  3. **Race-free teardown without a thread registry.** stop() retires
 //     the global session pointer and then waits out a grace period on a
@@ -51,8 +52,8 @@ inline constexpr std::int64_t kNoArg = -1;
 enum class EventKind : std::uint8_t { Begin, End, Instant, Counter };
 
 /// One drained event. `tid` is the dense per-session thread index (the
-/// order threads first emitted); `tsNanos` is steady-clock time since
-/// Session::start().
+/// order threads first emitted or were named); `tsNanos` is steady-clock
+/// time since Session::start().
 struct TraceEvent {
   EventKind kind = EventKind::Instant;
   std::string name;
@@ -64,9 +65,10 @@ struct TraceEvent {
   bool operator==(const TraceEvent&) const = default;
 };
 
-/// A trace track: one per thread that emitted during the session, plus
-/// any synthetic tracks appended afterwards (the simulator's predicted
-/// timeline). `pid` groups tracks into processes in the Chrome viewer.
+/// A trace track: one per thread that emitted or was named during the
+/// session, plus any synthetic tracks appended afterwards (the
+/// simulator's predicted timeline). `pid` groups tracks into processes
+/// in the Chrome viewer.
 struct ThreadInfo {
   std::string name;
   int pid = 1;
@@ -107,6 +109,7 @@ public:
 private:
   friend void detail_record(Session* s, EventKind kind, const char* name,
                             std::int64_t arg, double value);
+  friend void setThreadName(std::string name);
 
   struct RawEvent {
     EventKind kind;
@@ -126,6 +129,7 @@ private:
 
   void record(EventKind kind, const char* name, std::int64_t arg,
               double value);
+  ThreadBuffer* thisThreadBuffer();
   ThreadBuffer* registerThisThread();
 
   std::chrono::steady_clock::time_point begin_{};
@@ -145,8 +149,10 @@ private:
 bool enabled();
 
 /// Names the calling thread for all traces it subsequently appears in
-/// (sticky thread-local state, not tied to any session). Threads that
-/// never call this appear as "thread-<tid>".
+/// (sticky thread-local state, not tied to any session). Called while a
+/// session is active, it also gives the thread its track in that session
+/// at once, even if the thread then never emits. Threads that never call
+/// this appear as "thread-<tid>".
 void setThreadName(std::string name);
 
 // Emit functions. All are no-ops (one relaxed load) without an active

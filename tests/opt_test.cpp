@@ -3,10 +3,12 @@
 // granularity as the raw lowering, preserve per-statement block order,
 // still validate, execute to bit-identical results on every backend
 // (including the interned-slot fast path), and be bit-identical to the
-// input when the optimizer is disabled.
+// input when the optimizer is disabled. Transitive reduction must keep
+// exactly the edges a brute-force closure rule keeps.
 
 #include "codegen/task_program.hpp"
 #include "kernels/matmul.hpp"
+#include "kernels/reduction_kernels.hpp"
 #include "kernels/suite.hpp"
 #include "opt/optimizer.hpp"
 #include "scop/builder.hpp"
@@ -14,6 +16,7 @@
 #include "tasking/executor.hpp"
 #include "tasking/tasking.hpp"
 #include "testing/interpreted_kernel.hpp"
+#include "testing/random_scop.hpp"
 
 #include <gtest/gtest.h>
 
@@ -243,6 +246,173 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, OptRandomTest,
     ::testing::Combine(::testing::Values<std::uint64_t>(7, 19, 42, 101),
                        ::testing::Bool(), ::testing::Values(1, 2, 8)));
+
+// --- Exactness of the transitive reduction ---------------------------
+
+/// The brute-force reduction rule over the original program's closure: an
+/// edge is kept iff its producer is not an ancestor of another direct
+/// predecessor, or it is the funcCount (selfOrdering) edge of a
+/// chain-ordered program. fusionWidth = 1 keeps task ids aligned, so every
+/// task's kept in-list can be compared directly.
+void expectExactReduction(const codegen::TaskProgram& original) {
+  codegen::TaskProgram reduced = original;
+  opt::OptimizeOptions oopt;
+  oopt.fusionWidth = 1;
+  opt::optimize(reduced, oopt);
+  ASSERT_EQ(reduced.tasks.size(), original.tasks.size());
+
+  const BlockClosure closure(original);
+  const codegen::OutOwnerIndex owner = original.buildOutOwnerIndex();
+  for (const codegen::Task& t : original.tasks) {
+    std::vector<std::size_t> preds;
+    for (const codegen::TaskDep& d : t.in)
+      preds.push_back(owner.at({d.idx, d.tag}));
+    std::vector<codegen::TaskDep> expected;
+    for (std::size_t k = 0; k < preds.size(); ++k) {
+      bool implied = false;
+      for (std::size_t j = 0; j < preds.size(); ++j)
+        implied |= j != k && closure.reaches(preds[k], preds[j]);
+      if (!implied || (original.chainOrdering && t.in[k].selfOrdering))
+        expected.push_back(t.in[k]);
+    }
+    ASSERT_EQ(reduced.tasks[t.id].in, expected) << "task " << t.id;
+  }
+}
+
+/// The program at the smallest size >= n its read patterns admit
+/// (buildProgram rejects sizes below that; P4, P7 and P9 need N >= 6).
+scop::Scop buildAtLeast(const kernels::ProgramSpec& spec, pb::Value n) {
+  for (const pb::Value limit = n + 8; n < limit; ++n) {
+    try {
+      return kernels::buildProgram(spec, n);
+    } catch (const Error&) {
+    }
+  }
+  return kernels::buildProgram(spec, n);
+}
+
+class OptExactTable9Test
+    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+
+TEST_P(OptExactTable9Test, ReductionMatchesBruteForce) {
+  const auto [progIdx, relax] = GetParam();
+  const kernels::ProgramSpec& spec =
+      kernels::table9Programs()[static_cast<std::size_t>(progIdx)];
+  for (const pb::Value n : {3, 5, 16}) {
+    const scop::Scop scop = buildAtLeast(spec, n);
+    for (std::size_t coarsening = 1; coarsening <= 3; ++coarsening) {
+      SCOPED_TRACE("N=" + std::to_string(n) +
+                   " coarsening=" + std::to_string(coarsening));
+      pipeline::DetectOptions dopt;
+      dopt.relaxSameNestOrdering = relax;
+      dopt.coarsening = coarsening;
+      expectExactReduction(codegen::compilePipeline(scop, dopt));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Table9, OptExactTable9Test,
+                         ::testing::Combine(::testing::Range(0, 10),
+                                            ::testing::Bool()));
+
+TEST(OptExactTest, MatmulChains) {
+  for (const kernels::MatmulVariant variant :
+       {kernels::MatmulVariant::NMM, kernels::MatmulVariant::GNMMT}) {
+    const scop::Scop scop =
+        kernels::matmulChain(variant, /*chainLength=*/3, /*n=*/8);
+    expectExactReduction(codegen::compilePipeline(scop));
+  }
+}
+
+TEST(OptExactTest, ReductionKernels) {
+  // Relaxed reductions: partial blocks with one dependent (the combine).
+  for (const kernels::ReductionKernelSpec& spec : kernels::reductionKernels()) {
+    SCOPED_TRACE(spec.name);
+    expectExactReduction(codegen::compilePipeline(spec.build(16)));
+  }
+}
+
+TEST(OptExactTest, RandomScops) {
+  SplitMix64 rng(13);
+  for (std::uint64_t iter = 0; iter < 40; ++iter) {
+    const scop::Scop scop = testing::randomScop(rng, iter);
+    for (const bool relax : {false, true}) {
+      SCOPED_TRACE("program " + std::to_string(iter) +
+                   (relax ? " relaxed" : " chain-ordered"));
+      pipeline::DetectOptions dopt;
+      dopt.relaxSameNestOrdering = relax;
+      expectExactReduction(codegen::compilePipeline(scop, dopt));
+    }
+  }
+}
+
+/// Appends a task to a hand-assembled one-statement program: its out tag
+/// is its id, and it depends on `preds` (the edge from `selfPred`, if
+/// any, flagged selfOrdering).
+std::size_t addTask(codegen::TaskProgram& prog,
+                    const std::vector<std::size_t>& preds,
+                    std::size_t selfPred = SIZE_MAX) {
+  codegen::Task t;
+  t.id = prog.tasks.size();
+  t.stmtIdx = 0;
+  t.blockRep = pb::Tuple{static_cast<pb::Value>(t.id)};
+  t.iterations = {t.blockRep};
+  t.out = codegen::TaskDep{0, static_cast<std::int64_t>(t.id)};
+  for (std::size_t p : preds)
+    t.in.push_back(codegen::TaskDep{0, static_cast<std::int64_t>(p),
+                                    /*selfOrdering=*/p == selfPred});
+  prog.tasks.push_back(std::move(t));
+  return prog.tasks.back().id;
+}
+
+std::size_t edgesRemovedWithoutFusion(codegen::TaskProgram prog) {
+  opt::OptimizeOptions oopt;
+  oopt.fusionWidth = 1;
+  return opt::optimize(prog, oopt).edgesRemoved;
+}
+
+TEST(OptExactTest, WideAntichainThenJoinedChain) {
+  // A root, a wide antichain A of tasks with >= 2 dependents each, a join
+  // J over A, then a chain C in which every task has several
+  // predecessors: its chain predecessor (kept), an A task (implied via
+  // J), and a B task from a second antichain that does not feed J (kept
+  // the first time, implied the second). Every chain of A is tracked, so
+  // the labels along C carry `width` entries.
+  constexpr std::size_t width = 48;
+  constexpr std::size_t chainLength = 2 * width;
+  codegen::TaskProgram prog;
+  prog.numStatements = 1;
+  prog.chainOrdering = false;
+  const std::size_t root = addTask(prog, {});
+  std::vector<std::size_t> a, b;
+  for (std::size_t i = 0; i < width; ++i)
+    a.push_back(addTask(prog, {root}));
+  for (std::size_t i = 0; i < chainLength; ++i)
+    b.push_back(addTask(prog, {root}));
+  std::size_t prev = addTask(prog, a); // the join
+  for (std::size_t k = 0; k < chainLength; ++k) {
+    std::vector<std::size_t> preds = {prev, a[k % width], b[k]};
+    if (k > 0)
+      preds.push_back(b[k - 1]);
+    prev = addTask(prog, preds);
+  }
+  expectExactReduction(prog);
+  // Per chain task: the A edge, and from the second on the older B edge.
+  EXPECT_EQ(edgesRemovedWithoutFusion(prog), 2 * chainLength - 1);
+}
+
+TEST(OptExactTest, ImpliedFuncCountEdgeIsKeptOnlyUnderChainOrdering) {
+  for (const bool chainOrdering : {true, false}) {
+    codegen::TaskProgram prog;
+    prog.numStatements = 1;
+    prog.chainOrdering = chainOrdering;
+    const std::size_t first = addTask(prog, {});
+    const std::size_t middle = addTask(prog, {first});
+    addTask(prog, {first, middle}, /*selfPred=*/first);
+    expectExactReduction(prog);
+    EXPECT_EQ(edgesRemovedWithoutFusion(prog), chainOrdering ? 0u : 1u);
+  }
+}
 
 // --- Direct unit properties -------------------------------------------
 

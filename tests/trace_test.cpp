@@ -145,6 +145,23 @@ TEST(TraceTest, EveryEmittingThreadGetsItsOwnTrack) {
   EXPECT_EQ(tids.size(), 2u);
 }
 
+TEST(TraceTest, ThreadNamedDuringSessionGetsTrackWithoutEmitting) {
+  // An idle pool worker names itself and may never run a task; its track
+  // must still appear.
+  Session session;
+  session.start();
+  std::thread idle([] { setThreadName("idle worker"); });
+  idle.join();
+  instant("from.main");
+  session.stop();
+
+  const Trace& trace = session.trace();
+  ASSERT_EQ(trace.threads.size(), 2u);
+  EXPECT_EQ(trace.threads[0].name, "idle worker");
+  for (const TraceEvent& ev : trace.events)
+    EXPECT_EQ(ev.tid, 1u);
+}
+
 TEST(TraceTest, ThreadNameIsStickyAcrossSessions) {
   setThreadName("sticky");
   Session session;
