@@ -4,6 +4,7 @@
 
 #include "codegen/task_program.hpp"
 #include "frontend/frontend.hpp"
+#include "kernels/reduction_kernels.hpp"
 #include "kernels/suite.hpp"
 #include "opt/optimizer.hpp"
 #include "pipeline/blocking.hpp"
@@ -205,7 +206,18 @@ void BM_DetectPipeline(benchmark::State& state) {
     benchmark::DoNotOptimize(info);
   }
 }
-BENCHMARK(BM_DetectPipeline)->Arg(8)->Arg(16)->Arg(32);
+BENCHMARK(BM_DetectPipeline)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
+
+// The reduction route: the accumulation source's pipeline map is built
+// over a non-injective write.
+void BM_DetectReduction(benchmark::State& state) {
+  scop::Scop scop = kernels::dotProductChain(state.range(0));
+  for (auto _ : state) {
+    auto info = pipeline::detectPipeline(scop);
+    benchmark::DoNotOptimize(info);
+  }
+}
+BENCHMARK(BM_DetectReduction)->Arg(64);
 
 void BM_CompilePipeline(benchmark::State& state) {
   scop::Scop scop = kernels::buildProgram(kernels::programByName("P5"),

@@ -283,6 +283,7 @@ InRequirement computeInRequirement(const scop::Scop& scop,
                                    const PipelineInfo& info,
                                    const DetectOptions& options) {
   const scop::Statement& tgt = scop.statement(entry.tgtIdx);
+  const scop::Statement& src = scop.statement(entry.srcIdx);
   const StatementPipelineInfo& tgtInfo = info.statements[entry.tgtIdx];
   const StatementPipelineInfo& srcInfo = info.statements[entry.srcIdx];
 
@@ -299,29 +300,50 @@ InRequirement computeInRequirement(const scop::Scop& scop,
     for (const auto& [j, i] : p.pairs())
       pairs.emplace_back(*tgtInfo.blocking.singleImageOf(j),
                          *srcInfo.blocking.singleImageOf(i));
-    return InRequirement{entry.srcIdx,
-                         pb::IntMap(tgt.space(),
-                                    scop.statement(entry.srcIdx).space(),
-                                    std::move(pairs))};
+    return InRequirement{entry.srcIdx, pb::IntMap(tgt.space(), src.space(),
+                                                  std::move(pairs))};
   }
 
   // Q = T^-1 ( Y_T ( Range(Σ_T) ) ): every block of the target needs the
-  // last source block that enables it.
-  pb::IntMap y = targetBlockingMap(tgt.domain(), entry.map);
-  pb::IntMap tInv = entry.map.inverse(); // single-valued (T is injective)
-  pb::IntTupleSet tRange = entry.map.range();
-  const pb::Tuple lastSource = entry.map.domain().lexmax();
+  // last source block that enables it. Y_T(rep) is the smallest point of
+  // Range(T) lexge rep, so one lower bound into T^-1 (rows sorted by
+  // target) yields both that boundary and the source iteration it needs.
+  // Block reps are sorted and T is strictly increasing, so the cursors
+  // into Dom(Y_T), T^-1 and Σ_src only ever move forward; an order
+  // violation fails the membership checks below.
+  const std::size_t tgtA = tgt.space().arity(), srcA = src.space().arity();
+  const std::size_t w = tgtA + srcA;
+  const pb::IntMap tInv = entry.map.inverse(); // single-valued (T injective)
+  const pb::Value* inv = tInv.rowData().data();
+  const std::size_t nInv = tInv.size();
+  const pb::Value* dom = tgt.domain().rowData().data();
+  const std::size_t nDom = tgt.domain().size();
+  const pb::Value* sigma = srcInfo.blocking.rowData().data();
+  const std::size_t nSigma = srcInfo.blocking.size();
+  // lexmax Dom(T): the source half of T's last row.
+  const pb::Value* lastSource =
+      entry.map.rowData().data() + (entry.map.size() - 1) * w;
 
-  std::vector<pb::IntMap::Pair> pairs;
-  for (const pb::Tuple& rep : tgtInfo.blockReps.points()) {
-    std::optional<pb::Tuple> boundary = y.singleImageOf(rep);
-    PIPOLY_CHECK_MSG(boundary.has_value(),
+  const pb::Value* reps = tgtInfo.blockReps.rowData().data();
+  const std::size_t nReps = tgtInfo.blockReps.size();
+  pb::RowBuffer rows;
+  rows.reserve(nReps * w);
+  std::size_t d = 0, k = 0, b = 0;
+  for (std::size_t r = 0; r < nReps; ++r) {
+    const pb::Value* rep = reps + r * tgtA;
+    d = pb::rows::gallopLowerBound(dom, nDom, tgtA, d, rep, tgtA);
+    PIPOLY_CHECK_MSG(d < nDom && pb::rows::equal(dom + d * tgtA, rep, tgtA),
                      "target blocking map not total on block reps");
-    pb::Tuple required;
-    if (tRange.contains(*boundary)) {
-      std::optional<pb::Tuple> req = tInv.singleImageOf(*boundary);
-      PIPOLY_CHECK(req.has_value());
-      required = std::move(*req);
+    k = pb::rows::gallopLowerBound(inv, nInv, w, k, rep, tgtA);
+    const pb::Value* required;
+    if (k < nInv) {
+      const pb::Value* boundary = inv + k * w;
+      PIPOLY_CHECK_MSG(k + 1 == nInv ||
+                           !pb::rows::equal(boundary + w, boundary, tgtA),
+                       "map is not single-valued at " +
+                           pb::Tuple(boundary, tgtA).toString() +
+                           " in space " + tgt.space().name());
+      required = boundary + tgtA;
     } else {
       // The block maps past the last pipeline boundary. With the
       // integrated Σ of eq. 3 such a block provably contains no reader
@@ -333,15 +355,23 @@ InRequirement computeInRequirement(const scop::Scop& scop,
     // The required iteration is a blocking boundary of the source map,
     // so mapping through Σ_src names the block that produces it (with a
     // coarsened Σ it lands on the enclosing, later block — still safe).
-    std::optional<pb::Tuple> srcBlock =
-        srcInfo.blocking.singleImageOf(required);
-    PIPOLY_CHECK(srcBlock.has_value());
-    pairs.emplace_back(rep, std::move(*srcBlock));
+    b = pb::rows::gallopLowerBound(sigma, nSigma, 2 * srcA, b, required,
+                                   srcA);
+    PIPOLY_CHECK_MSG(
+        b < nSigma && pb::rows::equal(sigma + b * 2 * srcA, required, srcA),
+        "required source iteration outside the source blocking map");
+    pb::rows::append(rows, rep, tgtA);
+    pb::rows::append(rows, sigma + b * 2 * srcA + srcA, srcA);
   }
+  // Depth-0 statements on both sides: a width-0 buffer cannot carry the
+  // single () -> () pair.
+  if (w == 0)
+    return InRequirement{entry.srcIdx,
+                         pb::IntMap(tgt.space(), src.space(),
+                                    {{pb::Tuple(), pb::Tuple()}})};
   return InRequirement{entry.srcIdx,
-                       pb::IntMap(tgt.space(),
-                                  scop.statement(entry.srcIdx).space(),
-                                  std::move(pairs))};
+                       pb::IntMap::fromSortedRows(tgt.space(), src.space(),
+                                                  std::move(rows))};
 }
 
 /// Runs `fn(0) .. fn(count-1)` — inline when `pool` is null (the serial

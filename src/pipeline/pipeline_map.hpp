@@ -15,8 +15,14 @@
 //   T_{S,T} = lexmax(H^-1)
 //
 // Two implementations are provided: the literal composition (used by tests
-// as ground truth) and a streaming one that exploits the monotonicity of H
-// over the lexicographic order to avoid materialising the O(|J|^2) D' map.
+// as ground truth) and a streaming one that never builds P or D'. H only
+// needs lexmax(P)(j), which is the max, over the cells j reads, of each
+// cell's last writer. So per array the streaming one builds
+// last = lexmax(Wr^-1) (cell -> last writer) and binary-searches every
+// cell of Rd in it. A non-injective write makes P |writers| times larger
+// than its domain; this stays linear in |Rd|. H is then a running lexmax
+// over the target order, which is monotone, so the O(|J|^2) D' map is
+// never materialised either.
 
 #include "presburger/map.hpp"
 #include "scop/scop.hpp"
@@ -37,8 +43,10 @@ pb::IntMap producerRelation(const scop::Scop& scop, std::size_t srcIdx,
                             std::size_t tgtIdx,
                             bool allowNonInjective = false);
 
-/// The pipeline map T_{S,T} (source space -> target space). Returns an
+/// The pipeline map T_{S,T} (source space -> target space), built from
+/// the last writer of every cell the target reads, without P. Returns an
 /// empty map when the target does not read anything the source writes.
+/// Checks injectivity exactly as producerRelation does.
 pb::IntMap pipelineMap(const scop::Scop& scop, std::size_t srcIdx,
                        std::size_t tgtIdx, bool allowNonInjective = false);
 

@@ -319,13 +319,20 @@ std::vector<Tuple> IntMap::imagesOf(const Tuple& in) const {
 }
 
 std::optional<Tuple> IntMap::singleImageOf(const Tuple& in) const {
-  std::vector<Tuple> imgs = imagesOf(in);
-  if (imgs.empty())
+  if (in.size() != inArity() || empty())
     return std::nullopt;
-  PIPOLY_CHECK_MSG(imgs.size() == 1, "map is not single-valued at " +
-                                         in.toString() + " in space " +
-                                         in_.name());
-  return imgs.front();
+  const std::size_t inA = inArity(), outA = outArity(), w = width();
+  if (w == 0)
+    return Tuple();
+  const Value* base = rows_->data();
+  const std::size_t lo = rows::lowerBound(base, count_, w, 0, in.data(), inA);
+  if (lo == count_ || !rows::equal(base + lo * w, in.data(), inA))
+    return std::nullopt;
+  PIPOLY_CHECK_MSG(lo + 1 == count_ ||
+                       !rows::equal(base + (lo + 1) * w, in.data(), inA),
+                   "map is not single-valued at " + in.toString() +
+                       " in space " + in_.name());
+  return Tuple(base + lo * w + inA, outA);
 }
 
 IntMap IntMap::lexmaxPerDomain() const {

@@ -1,9 +1,13 @@
 #include "pipeline/detect.hpp"
 
+#include "kernels/matmul.hpp"
+#include "kernels/reduction_kernels.hpp"
+#include "scop/builder.hpp"
 #include "scop/dependences.hpp"
 #include "support/assert.hpp"
 #include "support/rng.hpp"
 #include "testing/fixtures.hpp"
+#include "testing/random_scop.hpp"
 
 #include <gtest/gtest.h>
 
@@ -174,6 +178,87 @@ TEST_P(DetectPropertyTest, RandomScopIsSafe) {
 INSTANTIATE_TEST_SUITE_P(RandomSweeps, DetectPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,
                                            12, 13, 14, 15, 16));
+
+/// Eq. 4 by its literal formula, Q = T^-1(Y_T(Range Σ_T)) mapped through
+/// Σ_src: the oracle for the forward merge in detectPipeline.
+pb::IntMap eq4Oracle(const scop::Scop& scop, const PipelineInfo& info,
+                     const PipelineMapEntry& entry) {
+  const pb::IntMap& t = entry.map;
+  const pb::IntMap y =
+      targetBlockingMap(scop.statement(entry.tgtIdx).domain(), t);
+  const pb::IntMap tInv = t.inverse();
+  const pb::IntTupleSet tRange = t.range();
+  const Tuple lastSource = t.domain().lexmax();
+  const pb::IntMap& srcBlocking = info.statements[entry.srcIdx].blocking;
+  std::vector<pb::IntMap::Pair> pairs;
+  for (const Tuple& rep : info.statements[entry.tgtIdx].blockReps.points()) {
+    const Tuple boundary = *y.singleImageOf(rep);
+    const Tuple required = tRange.contains(boundary)
+                               ? *tInv.singleImageOf(boundary)
+                               : lastSource;
+    pairs.emplace_back(rep, *srcBlocking.singleImageOf(required));
+  }
+  return pb::IntMap(scop.statement(entry.tgtIdx).space(),
+                    scop.statement(entry.srcIdx).space(), std::move(pairs));
+}
+
+/// Checks every requirement that is neither relaxed nor a combine edge
+/// against eq4Oracle, over coarsening 1-3 and both integration modes.
+void expectEq4(const scop::Scop& scop, DetectOptions options = {}) {
+  for (std::size_t coarsening = 1; coarsening <= 3; ++coarsening)
+    for (DetectOptions::Integration integration :
+         {DetectOptions::Integration::LexminUnion,
+          DetectOptions::Integration::FirstMapOnly}) {
+      options.coarsening = coarsening;
+      options.integration = integration;
+      const PipelineInfo info = detectPipeline(scop, options);
+      // Map-based requirements are attached to their targets in map
+      // order, ahead of the combine edges.
+      std::vector<std::size_t> seen(scop.numStatements(), 0);
+      for (const PipelineMapEntry& entry : info.maps) {
+        const InRequirement& req =
+            info.statements[entry.tgtIdx].inRequirements[seen[entry.tgtIdx]++];
+        ASSERT_EQ(req.srcStmtIdx, entry.srcIdx);
+        ASSERT_FALSE(req.viaCombine);
+        EXPECT_EQ(req.map, eq4Oracle(scop, info, entry))
+            << scop.name() << " pair (" << entry.srcIdx << ", "
+            << entry.tgtIdx << ") coarsening " << coarsening;
+      }
+    }
+}
+
+TEST(DetectTest, InRequirementsMatchEq4Oracle) {
+  for (pb::Value n : {5, 16})
+    for (const kernels::ProgramSpec& spec : kernels::table9Programs())
+      expectEq4(testing::buildAtLeast(spec, n));
+  expectEq4(kernels::matmulChain(kernels::MatmulVariant::NMM, 3, 8));
+  expectEq4(kernels::matmulChain(kernels::MatmulVariant::GNMMT, 3, 8));
+  DetectOptions legacy;
+  legacy.reductionMode = DetectOptions::ReductionMode::Off;
+  legacy.allowNonInjectiveWrites = true;
+  for (const kernels::ReductionKernelSpec& k : kernels::reductionKernels()) {
+    expectEq4(k.build(16));
+    expectEq4(k.build(16), legacy);
+  }
+  SplitMix64 rng(4);
+  for (std::uint64_t tag = 0; tag < 40; ++tag)
+    expectEq4(testing::randomScop(rng, tag));
+
+  // Depth-0 statements: x = f(); for i: A[i] = g(x); y = h(A[2], x).
+  scop::ScopBuilder b("depth0");
+  std::size_t X = b.array("x", {1});
+  std::size_t A = b.array("A", {4});
+  std::size_t Y = b.array("y", {1});
+  auto S = b.statement("S", 0);
+  S.write(X, {S.constant(0)});
+  auto T = b.statement("T", 1);
+  T.bound(0, 0, 4).write(A, {T.dim(0)}).read(X, {T.constant(0)});
+  auto U = b.statement("U", 0);
+  U.write(Y, {U.constant(0)}).read(A, {U.constant(2)}).read(X, {U.constant(0)});
+  const scop::Scop depth0 = b.build();
+  ASSERT_EQ(detectPipeline(depth0).maps.size(), 3u);
+  expectEq4(depth0);
+}
 
 } // namespace
 } // namespace pipoly::pipeline

@@ -15,6 +15,7 @@
 #include "support/rng.hpp"
 #include "tasking/executor.hpp"
 #include "tasking/tasking.hpp"
+#include "testing/fixtures.hpp"
 #include "testing/interpreted_kernel.hpp"
 #include "testing/random_scop.hpp"
 
@@ -279,18 +280,6 @@ void expectExactReduction(const codegen::TaskProgram& original) {
   }
 }
 
-/// The program at the smallest size >= n its read patterns admit
-/// (buildProgram rejects sizes below that; P4, P7 and P9 need N >= 6).
-scop::Scop buildAtLeast(const kernels::ProgramSpec& spec, pb::Value n) {
-  for (const pb::Value limit = n + 8; n < limit; ++n) {
-    try {
-      return kernels::buildProgram(spec, n);
-    } catch (const Error&) {
-    }
-  }
-  return kernels::buildProgram(spec, n);
-}
-
 class OptExactTable9Test
     : public ::testing::TestWithParam<std::tuple<int, bool>> {};
 
@@ -299,7 +288,7 @@ TEST_P(OptExactTable9Test, ReductionMatchesBruteForce) {
   const kernels::ProgramSpec& spec =
       kernels::table9Programs()[static_cast<std::size_t>(progIdx)];
   for (const pb::Value n : {3, 5, 16}) {
-    const scop::Scop scop = buildAtLeast(spec, n);
+    const scop::Scop scop = testing::buildAtLeast(spec, n);
     for (std::size_t coarsening = 1; coarsening <= 3; ++coarsening) {
       SCOPED_TRACE("N=" + std::to_string(n) +
                    " coarsening=" + std::to_string(coarsening));

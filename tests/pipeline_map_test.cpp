@@ -1,6 +1,8 @@
 #include "pipeline/pipeline_map.hpp"
 
+#include "kernels/reduction_kernels.hpp"
 #include "presburger/parser.hpp"
+#include "scop/dependences.hpp"
 #include "support/assert.hpp"
 #include "testing/fixtures.hpp"
 
@@ -59,6 +61,42 @@ TEST(PipelineMapTest, MatchesNaiveComposition) {
                       {1, 2}})
     EXPECT_EQ(pipelineMap(scop3, s, t), pipelineMapNaive(scop3, s, t))
         << "mismatch for pair (" << s << ", " << t << ")";
+}
+
+TEST(PipelineMapTest, NonInjectiveMatchesNaive) {
+  // The last-writer construction against the literal composition over P
+  // on the reduction kernels, whose accumulation writes are non-injective.
+  for (pb::Value n : {8, 16, 32})
+    for (const kernels::ReductionKernelSpec& k : kernels::reductionKernels()) {
+      const scop::Scop scop = k.build(n);
+      for (std::size_t t = 0; t < scop.numStatements(); ++t)
+        for (std::size_t s = 0; s < t; ++s)
+          if (scop::dependsOn(scop, t, s)) {
+            EXPECT_EQ(pipelineMap(scop, s, t, true),
+                      pipelineMapNaive(scop, s, t, true))
+                << k.name << " N=" << n << " pair (" << s << ", " << t << ")";
+          }
+    }
+
+  // One source writing two arrays, A non-injectively: T's requirement is
+  // the later of its two cells' last writers, and the unwritten odd cells
+  // of A are lookup misses.
+  scop::ScopBuilder b("two_arrays");
+  std::size_t A = b.array("A", {16});
+  std::size_t B = b.array("B", {16});
+  std::size_t C = b.array("C", {8});
+  auto S = b.statement("S", 2);
+  S.bound(0, 0, 4).bound(1, 0, 4);
+  S.write(A, {2 * S.dim(0) + 2 * S.dim(1)});
+  S.write(B, {4 * S.dim(0) + S.dim(1)});
+  auto T = b.statement("T", 1);
+  T.bound(0, 0, 8).write(C, {T.dim(0)});
+  T.read(A, {T.dim(0)}).read(B, {2 * T.dim(0)});
+  scop::Scop scop = b.build();
+  EXPECT_THROW((void)pipelineMap(scop, 0, 1), Error);
+  pb::IntMap t = pipelineMap(scop, 0, 1, true);
+  EXPECT_EQ(t, pipelineMapNaive(scop, 0, 1, true));
+  EXPECT_FALSE(t.empty());
 }
 
 TEST(PipelineMapTest, EmptyWhenNoSharedArray) {

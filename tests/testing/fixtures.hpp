@@ -1,10 +1,13 @@
 #pragma once
 
 // Shared SCoP fixtures used across the pipeline/schedule/codegen tests:
-// the paper's Listing 1 and Listing 3, parameterised by N.
+// the paper's Listing 1 and Listing 3, parameterised by N, and Table-9
+// programs at the smallest size their read patterns admit.
 
+#include "kernels/suite.hpp"
 #include "scop/builder.hpp"
 #include "scop/scop.hpp"
+#include "support/assert.hpp"
 
 namespace pipoly::testing {
 
@@ -101,6 +104,19 @@ inline scop::Scop chain(std::size_t nests, pb::Value n) {
       S.read(arrays[k - 1], {S.dim(0), S.dim(1)});
   }
   return b.build();
+}
+
+/// The program at the smallest size >= n its read patterns admit
+/// (buildProgram rejects sizes below that; P4, P7 and P9 need N >= 6).
+inline scop::Scop buildAtLeast(const kernels::ProgramSpec& spec,
+                               pb::Value n) {
+  for (const pb::Value limit = n + 8; n < limit; ++n) {
+    try {
+      return kernels::buildProgram(spec, n);
+    } catch (const Error&) {
+    }
+  }
+  return kernels::buildProgram(spec, n);
 }
 
 } // namespace pipoly::testing
