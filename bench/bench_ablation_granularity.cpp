@@ -5,13 +5,12 @@
 //   * DetectOptions::reductionBlocks — the partial-block count a relaxed
 //     accumulation nest splits into, trading combine fan-in against
 //     parallel partial work.
-// The reduction sweep prices each candidate with the topology-aware
-// channel simulator (sim::simulateChannels over a placeStagesTopology
-// placement on the synthetic 2x-numa preset), so the chosen value
-// reflects where the partials land, not just how many there are. The
-// policy stays a knob — the sweep documents the auto-tuning path and
-// records the sweep-chosen value per kernel in the JSON output
-// (--json=FILE).
+// The reduction sweep prices each candidate with the channel simulator
+// (sim::simulateChannels: one worker per stage, which is what the
+// balanced placement gives every reduction kernel here — at most 3
+// stages against 8 workers). The policy stays a knob — the sweep
+// documents the auto-tuning path and records the sweep-chosen value per
+// kernel in the JSON output (--json=FILE).
 
 #include "bench_common.hpp"
 
@@ -20,8 +19,6 @@
 #include "kernels/suite.hpp"
 #include "pipeline/comm.hpp"
 #include "pipeline/detect.hpp"
-#include "runtime/placement.hpp"
-#include "runtime/topology.hpp"
 #include "sim/simulator.hpp"
 
 #include <cstdio>
@@ -84,11 +81,9 @@ int main(int argc, char** argv) {
   }
 
   // Reduction-block sweep: for each reduction kernel, sweep the partial
-  // block count and pick the value the topology-aware channel simulator
-  // predicts fastest on the 2x-numa preset. More partials mean more
-  // parallel accumulation but a wider combine fan-in and more placed
-  // stages competing for the same workers; the placement decides which
-  // partials pay the remote cost class. Kernels whose accumulation nest
+  // block count and pick the value the channel simulator predicts
+  // fastest. More partials mean more parallel accumulation but a wider
+  // combine fan-in. Kernels whose accumulation nest
   // is already subdivided by an upstream pipeline map (dot_product_chain,
   // histogram, stencil_accumulate) are insensitive to the knob — their
   // flat rows document that; norm_accumulate takes the pure-accumulation
@@ -99,20 +94,19 @@ int main(int argc, char** argv) {
   // statement's partials on its one stage worker, so extra blocks only
   // widen the combine fan-in (fewest blocks win); the task-graph route
   // spreads partials across the pool, so blocks near the worker count
-  // win. The channel-route prediction is the topology-aware one.
+  // win.
   std::printf("\n== Ablation: reduction partial blocks "
               "(DetectOptions::reductionBlocks) ==\n");
   const unsigned workers = 8;
-  const rt::Topology numa = rt::Topology::fromSpec("2x-numa", workers);
-  std::printf("Reduction kernels, N = 32, %u workers on %s. Predicted "
+  std::printf("Reduction kernels, N = 32, %u workers. Predicted "
               "channel-route makespan, cheap-iteration regime.\n\n",
-              workers, numa.name.c_str());
+              workers);
 
   for (const kernels::ReductionKernelSpec& spec :
        kernels::reductionKernels()) {
     const scop::Scop scop = spec.build(32);
-    bench::Table table({"reduction_blocks", "tasks", "channel_us", "pool_us",
-                        "cross_domain_bytes"});
+    bench::Table table({"reduction_blocks", "tasks", "channel_us",
+                        "pool_us"});
     std::size_t chosenChan = 0, chosenPool = 0;
     double bestChan = 0.0, bestPool = 0.0;
     std::string sweepJson = "[";
@@ -124,23 +118,13 @@ int main(int argc, char** argv) {
           pipeline::analyzeCommunication(scop, info);
       const codegen::TaskProgram prog = codegen::compilePipeline(scop, opt);
 
-      std::vector<std::size_t> stageTasks(scop.numStatements(), 0);
-      for (const codegen::Task& t : prog.tasks)
-        ++stageTasks[t.stmtIdx];
-      std::vector<std::size_t> stmtOfStage(scop.numStatements());
-      for (std::size_t s = 0; s < stmtOfStage.size(); ++s)
-        stmtOfStage[s] = s;
-      const rt::Placement placed = rt::placeStagesTopology(
-          stageTasks, workers, comm.stageEdges(stmtOfStage), numa,
-          rt::PlacementOptions{});
-
       sim::CostModel model;
       model.iterationCost.assign(scop.numStatements(), 5e-6);
       model.taskOverhead = taskOverhead;
       model.channelTokenOverhead = taskOverhead;
       model.commCostPerByte = 1e-9;
       const sim::ChannelSimResult chan =
-          sim::simulateChannels(prog, comm, model, numa, placed);
+          sim::simulateChannels(prog, comm, model);
       const sim::SimResult pool =
           sim::simulate(prog, model, sim::SimConfig{workers});
 
@@ -161,8 +145,7 @@ int main(int argc, char** argv) {
                    bench::JsonReport::num(pool.makespan * 1e6) + "}";
       table.addRow({std::to_string(blocks), std::to_string(prog.tasks.size()),
                     bench::fmt(chan.makespan * 1e6, 1),
-                    bench::fmt(pool.makespan * 1e6, 1),
-                    std::to_string(placed.crossDomainBytes)});
+                    bench::fmt(pool.makespan * 1e6, 1)});
     }
     sweepJson += "]";
 

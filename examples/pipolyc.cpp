@@ -50,14 +50,6 @@
 //                   analysis and routes execution through the bounded-SPSC
 //                   channel engine; --report/--json/--dot then carry the
 //                   per-edge volumes and sized channel capacities
-//     --topology=SPEC  hardware topology for the channel backend's stage
-//                   placement: a synthetic preset (`uma`, `2x-numa`,
-//                   `ring`), `host` (Linux sysfs NUMA detection, uma
-//                   fallback), or a JSON spec file (rt::Topology::fromJson).
-//                   A malformed spec is a usage error: pipolyc prints the
-//                   parse diagnostic and exits with status 2. With
-//                   --optimize and --backend=channel the optimizer also
-//                   scores its passes on this placed topology
 //
 // Example:
 //   ./build/examples/pipolyc --maps --ast --simulate 8
@@ -73,7 +65,6 @@
 #include "pipeline/detect.hpp"
 #include "pipeline/detect_cache.hpp"
 #include "pipeline/report.hpp"
-#include "runtime/topology.hpp"
 #include "schedule/build.hpp"
 #include "sim/granularity_tuner.hpp"
 #include "sim/simulator.hpp"
@@ -86,7 +77,6 @@
 #include "trace/trace.hpp"
 #include "verify/oracle.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -94,7 +84,6 @@
 #include <iostream>
 #include <optional>
 #include <sstream>
-#include <thread>
 
 using namespace pipoly;
 
@@ -119,8 +108,7 @@ int usage() {
                "[--optimize] [--emit-c] [--simulate N] [--timeline N] "
                "[--replay=N] [--trace=FILE] [--metrics] [--detect-cache] "
                "[--parametric=off|auto|force] [--reduction=off|auto] "
-               "[--backend=serial|threadpool|openmp|channel] "
-               "[--topology=SPEC] [file]\n");
+               "[--backend=serial|threadpool|openmp|channel] [file]\n");
   return 2;
 }
 
@@ -135,7 +123,7 @@ int main(int argc, char** argv) {
   bool routeStats = false;
   unsigned simulateWorkers = 0, timelineWorkers = 0, tuneWorkers = 0;
   std::size_t replayRuns = 0;
-  std::string path, tracePath, topologySpec;
+  std::string path, tracePath;
   std::string backendName = "threadpool";
   frontend::ParamOverrides params;
 
@@ -200,11 +188,6 @@ int main(int argc, char** argv) {
           backendName != "openmp" && backendName != "channel")
         return usage();
     }
-    else if (arg.rfind("--topology=", 0) == 0) {
-      topologySpec = arg.substr(11);
-      if (topologySpec.empty())
-        return usage();
-    }
     else if (arg.rfind("--replay=", 0) == 0) {
       const long long runs = std::atoll(arg.c_str() + 9);
       if (runs <= 0)
@@ -242,24 +225,6 @@ int main(int argc, char** argv) {
       tracePath.empty() && simulateWorkers == 0 && timelineWorkers == 0 &&
       tuneWorkers == 0 && replayRuns == 0)
     maps = astOut = true; // sensible default
-
-  // Resolve --topology before any compilation work: a malformed spec is a
-  // usage-class error (exit 2 with the parse diagnostic), not a pipeline
-  // failure. The engine re-spreads the spec over its own worker count, so
-  // resolving presets against the hardware concurrency here is only the
-  // initial shape.
-  std::optional<rt::Topology> topology;
-  if (!topologySpec.empty()) {
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    try {
-      topology = rt::Topology::fromSpec(topologySpec, hw);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "pipolyc: --topology=%s: %s\n",
-                   topologySpec.c_str(), e.what());
-      return 2;
-    }
-    std::fprintf(stderr, "pipolyc: %s\n", topology->toString().c_str());
-  }
 
   std::string source = kDemoProgram;
   if (!path.empty()) {
@@ -360,14 +325,7 @@ int main(int argc, char** argv) {
     std::optional<codegen::ProgramCounts> preOptCounts;
     if (optimizeRun) {
       preOptCounts = prog.counts();
-      opt::OptimizeOptions optOptions;
-      if (commPtr != nullptr) {
-        // Placement-aware scoring: edge removals are weighted by the
-        // bytes they stop moving on the placed topology.
-        optOptions.comm = commPtr;
-        optOptions.topology = topology;
-      }
-      const opt::OptimizeStats stats = opt::optimize(prog, optOptions);
+      const opt::OptimizeStats stats = opt::optimize(prog);
       prog.validate(scop);
       // stderr: --dot/--json/--emit-c pipe stdout into other tools.
       std::fprintf(stderr, "== optimizer ==\n%s\n\n",
@@ -415,11 +373,9 @@ int main(int argc, char** argv) {
         layer = tasking::makeSerialBackend();
       else if (backendName == "openmp")
         layer = tasking::makeOpenMPBackend();
-      else if (backendName == "channel") {
-        tasking::ChannelOptions channelOptions;
-        channelOptions.topology = topology;
-        layer = tasking::makeChannelBackend(channelOptions);
-      } else
+      else if (backendName == "channel")
+        layer = tasking::makeChannelBackend();
+      else
         layer = tasking::makeThreadPoolBackend(4);
       if (layer == nullptr) {
         std::fprintf(stderr, "pipolyc: backend '%s' is not available\n",
@@ -445,7 +401,6 @@ int main(int argc, char** argv) {
       if (backendName == "channel") {
         replayOptions.channels = true;
         replayOptions.comm = commPtr;
-        replayOptions.topology = topology;
       }
       tasking::CompiledPipeline pipe(shared, replayOptions);
       verify::InterpretedKernel kernel(scop);

@@ -4,7 +4,6 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 namespace pipoly::opt {
@@ -194,93 +193,6 @@ std::size_t transitiveReduce(TaskProgram& program, PredLists& lists) {
   return removed;
 }
 
-/// Placement score of the program's current channel structure: stage the
-/// statements exactly like the channel backend (distinct statements,
-/// ascending; one stage each), weight the surviving cross-stage
-/// dependency pairs with the analyzed per-edge bytes, place onto the
-/// topology, and read off the partitioner's communication objective.
-/// This is the bytes-moved-on-the-placed-topology number the
-/// placement-aware passes are scored by.
-struct PlacedScore {
-  rt::Placement placement;
-  /// Per statement: the largest cost class of any cross-domain channel
-  /// edge incident to it (1.0 when all its edges are domain-local) —
-  /// the fusion-width scaling factor.
-  std::vector<double> maxClassOfStmt;
-};
-
-PlacedScore scorePlacement(const TaskProgram& program,
-                           const PredLists& lists,
-                           const pipeline::CommInfo& comm,
-                           const std::optional<rt::Topology>& topology,
-                           double lambda) {
-  PlacedScore score;
-  score.maxClassOfStmt.assign(program.numStatements, 1.0);
-
-  // Stage structure: one stage per statement owning tasks, ascending.
-  std::vector<std::size_t> stageOf(program.numStatements, SIZE_MAX);
-  std::vector<std::size_t> stmtOf;
-  for (const Task& t : program.tasks)
-    if (stageOf[t.stmtIdx] == SIZE_MAX) {
-      stageOf[t.stmtIdx] = 0;
-      stmtOf.push_back(t.stmtIdx);
-    }
-  std::sort(stmtOf.begin(), stmtOf.end());
-  for (std::size_t s = 0; s < stmtOf.size(); ++s)
-    stageOf[stmtOf[s]] = s;
-  const std::size_t numStages = stmtOf.size();
-  if (numStages == 0)
-    return score;
-  std::vector<std::size_t> stageTasks(numStages, 0);
-  for (const Task& t : program.tasks)
-    ++stageTasks[stageOf[t.stmtIdx]];
-
-  // Surviving cross-stage dependency pairs = the channels the backend
-  // would build; bytes from the analysis (1 when unanalyzed).
-  std::vector<std::vector<bool>> seen(numStages,
-                                      std::vector<bool>(numStages, false));
-  std::vector<rt::StageEdge> edges;
-  for (const Task& t : program.tasks) {
-    const std::size_t tgt = stageOf[t.stmtIdx];
-    for (std::size_t k = lists.offsets[t.id]; k < lists.offsets[t.id + 1];
-         ++k) {
-      const std::size_t src =
-          stageOf[program.tasks[lists.preds[k]].stmtIdx];
-      if (src == tgt || seen[src][tgt])
-        continue;
-      seen[src][tgt] = true;
-      std::uint64_t bytes = 1;
-      if (const pipeline::EdgeComm* e = comm.edge(stmtOf[src], stmtOf[tgt]))
-        bytes = std::max<std::uint64_t>(e->totalBytes, 1);
-      edges.push_back({src, tgt, bytes});
-    }
-  }
-
-  const rt::Topology topo =
-      topology.has_value()
-          ? (topology->numWorkers() == numStages
-                 ? *topology
-                 : topology->resized(static_cast<unsigned>(numStages)))
-          : rt::Topology::uma(static_cast<unsigned>(numStages));
-  rt::PlacementOptions popts;
-  popts.lambda = lambda;
-  score.placement = rt::placeStagesTopology(
-      stageTasks, static_cast<unsigned>(numStages), edges, topo, popts);
-
-  for (const rt::StageEdge& e : edges) {
-    const unsigned da = score.placement.domainOfStage[e.src];
-    const unsigned db = score.placement.domainOfStage[e.tgt];
-    if (da == db)
-      continue;
-    const double cls = topo.costClass(da, db);
-    score.maxClassOfStmt[stmtOf[e.src]] =
-        std::max(score.maxClassOfStmt[stmtOf[e.src]], cls);
-    score.maxClassOfStmt[stmtOf[e.tgt]] =
-        std::max(score.maxClassOfStmt[stmtOf[e.tgt]], cls);
-  }
-  return score;
-}
-
 /// Pass 2: chain fusion. Fuses task `next` into `merged` when
 ///   * they are adjacent tasks of the same statement (lowerToTasks emits
 ///     each nest's blocks contiguously, so adjacency in creation order is
@@ -291,14 +203,9 @@ PlacedScore scorePlacement(const TaskProgram& program,
 ///   * the concatenated iteration list stays lexicographically sorted
 ///     (validate() and the sequential-per-task execution order need it).
 std::size_t fuseChains(TaskProgram& program, const PredLists& lists,
-                       std::size_t width,
-                       const std::vector<std::size_t>* stmtWidth = nullptr) {
+                       std::size_t width) {
   const std::size_t n = program.tasks.size();
-  const std::size_t maxWidth =
-      stmtWidth != nullptr && !stmtWidth->empty()
-          ? *std::max_element(stmtWidth->begin(), stmtWidth->end())
-          : width;
-  if (n < 2 || maxWidth < 2)
+  if (n < 2 || width < 2)
     return 0;
   const std::vector<std::uint32_t> dependents = countDependents(lists, n);
 
@@ -307,16 +214,9 @@ std::size_t fuseChains(TaskProgram& program, const PredLists& lists,
   std::size_t eliminated = 0;
   for (std::size_t i = 0; i < n;) {
     Task merged = std::move(program.tasks[i]);
-    // Placement-aware widths: a statement whose channels cross domains
-    // fuses wider — bigger blocks per token amortize the slower link,
-    // mirroring how the channel engine deepens cross-domain rings.
-    const std::size_t effWidth =
-        stmtWidth != nullptr && merged.stmtIdx < stmtWidth->size()
-            ? (*stmtWidth)[merged.stmtIdx]
-            : width;
     std::size_t tail = i; // original id of the last task folded in
     std::size_t run = 1;
-    while (run < effWidth && tail + 1 < n) {
+    while (run < width && tail + 1 < n) {
       const Task& next = program.tasks[tail + 1];
       // Never fuse across task kinds: a combine task must stay a
       // separate fold step (its iterations use a different arity and the
@@ -365,10 +265,6 @@ std::string OptimizeStats::toString() const {
   os << "opt: tasks " << tasksBefore << " -> " << tasksAfter << " (fused "
      << tasksFused << "), in-edges " << edgesBefore << " -> " << edgesAfter
      << " (reduction removed " << edgesRemoved << ")";
-  if (placedCommCostBefore > 0.0 || placedCommCostAfter > 0.0)
-    os << ", placed comm cost " << placedCommCostBefore << " -> "
-       << placedCommCostAfter << " (cross-domain bytes "
-       << crossDomainBytesBefore << " -> " << crossDomainBytesAfter << ")";
   return os.str();
 }
 
@@ -380,45 +276,14 @@ OptimizeStats optimize(codegen::TaskProgram& program,
   stats.edgesBefore = stats.edgesAfter = countEdges(program);
   if (!options.enabled)
     return stats;
-  // Placement-aware mode: score the untouched program first, derive the
-  // per-statement fusion widths from where its channels land on the
-  // topology, and re-score after the passes — the before/after pair is
-  // the bytes-moved objective the mode optimizes for.
   PredLists lists = resolvePredecessors(program);
-  std::vector<std::size_t> stmtWidths;
-  const bool placementAware = options.comm != nullptr;
-  if (placementAware) {
-    const PlacedScore before =
-        scorePlacement(program, lists, *options.comm, options.topology,
-                       options.placementLambda);
-    stats.placedCommCostBefore = before.placement.commCost;
-    stats.crossDomainBytesBefore = before.placement.crossDomainBytes;
-    if (options.fusionWidth > 1) {
-      stmtWidths.assign(program.numStatements, options.fusionWidth);
-      for (std::size_t s = 0; s < before.maxClassOfStmt.size(); ++s)
-        stmtWidths[s] = std::min<std::size_t>(
-            options.fusionWidth *
-                static_cast<std::size_t>(
-                    std::ceil(before.maxClassOfStmt[s])),
-            4 * options.fusionWidth);
-    }
-  }
   if (options.transitiveReduction) {
     trace::Span pass("opt.transitive_reduction");
     stats.edgesRemoved = transitiveReduce(program, lists);
   }
   if (options.fusionWidth > 1) {
     trace::Span pass("opt.chain_fusion");
-    stats.tasksFused =
-        fuseChains(program, lists, options.fusionWidth,
-                   stmtWidths.empty() ? nullptr : &stmtWidths);
-  }
-  if (placementAware) {
-    const PlacedScore after =
-        scorePlacement(program, resolvePredecessors(program), *options.comm,
-                       options.topology, options.placementLambda);
-    stats.placedCommCostAfter = after.placement.commCost;
-    stats.crossDomainBytesAfter = after.placement.crossDomainBytes;
+    stats.tasksFused = fuseChains(program, lists, options.fusionWidth);
   }
   stats.tasksAfter = program.tasks.size();
   stats.edgesAfter = countEdges(program);

@@ -182,25 +182,15 @@ StagePlacement placeStages(const codegen::TaskProgram& program) {
 
 } // namespace
 
-namespace {
-
-/// Shared DES of the channel route. `topology`/`placement` null = the
-/// placement-free model (one idealized worker per stage, every transfer
-/// class 1) — the original PR 8 prediction, unchanged.
-ChannelSimResult
-simulateChannelsImpl(const codegen::TaskProgram& program,
-                     const pipeline::CommInfo& comm, const CostModel& model,
-                     const rt::Topology* topology,
-                     const rt::Placement* placement) {
+ChannelSimResult simulateChannels(const codegen::TaskProgram& program,
+                                  const pipeline::CommInfo& comm,
+                                  const CostModel& model) {
   ChannelSimResult result;
   const std::size_t n = program.tasks.size();
   if (n == 0)
     return result;
   const StagePlacement p = placeStages(program);
   result.numStages = p.stmtOf.size();
-  if (placement != nullptr)
-    PIPOLY_CHECK_MSG(placement->workerOfStage.size() == result.numStages,
-                     "placement does not match the program's stage count");
   const opt::SlotTable slots = opt::buildSlotTable(program);
 
   // Channel edges present in this program: distinct cross-stage pairs.
@@ -232,20 +222,13 @@ simulateChannelsImpl(const codegen::TaskProgram& program,
   // task starts when its stage predecessor finished and every cross-stage
   // token arrived (producer finish + edge latency); its body costs only
   // the iterations — the route spawns no tasks and hashes no slots.
-  // Under a placement, stages sharing a worker additionally serialize on
-  // that worker's clock, and cross-worker transfers pay the placed
-  // domain pair's cost class.
   std::vector<double> finish(n, 0.0);
   std::vector<double> stageClock(result.numStages, 0.0);
-  std::vector<double> workerClock(
-      placement != nullptr ? placement->ownedStages.size() : 0, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     const codegen::Task& task = program.tasks[i];
     const auto [stage, pos] = p.place[i];
     (void)pos;
     double start = stageClock[stage];
-    if (placement != nullptr)
-      start = std::max(start, workerClock[placement->workerOfStage[stage]]);
     for (const std::uint32_t* s = slots.inBegin(i); s != slots.inEnd(i);
          ++s) {
       const std::size_t srcStage = p.place[*s].first;
@@ -254,26 +237,14 @@ simulateChannelsImpl(const codegen::TaskProgram& program,
         continue;
       }
       const ChannelEdgeLoad& load = result.edges[edgeFor(srcStage, stage)];
-      double latency = model.channelTokenOverhead;
-      if (placement == nullptr) {
-        latency += model.commCostPerByte * load.bytesPerToken;
-      } else if (placement->workerOfStage[srcStage] !=
-                 placement->workerOfStage[stage]) {
-        const double cls =
-            topology != nullptr
-                ? topology->costClass(placement->domainOfStage[srcStage],
-                                      placement->domainOfStage[stage])
-                : 1.0;
-        latency += model.commCostPerByte * load.bytesPerToken * cls;
-      } // same-worker edge: the token is a local counter bump, no move
+      const double latency = model.channelTokenOverhead +
+                             model.commCostPerByte * load.bytesPerToken;
       start = std::max(start, finish[*s] + latency);
       result.commTime += latency;
     }
     finish[i] = start + static_cast<double>(task.iterations.size()) *
                             model.iterationCost.at(task.stmtIdx);
     stageClock[stage] = finish[i];
-    if (placement != nullptr)
-      workerClock[placement->workerOfStage[stage]] = finish[i];
     result.makespan = std::max(result.makespan, finish[i]);
   }
 
@@ -315,45 +286,8 @@ simulateChannelsImpl(const codegen::TaskProgram& program,
       peak = std::max(peak, live += delta);
     result.edges[ei].peakTokens = static_cast<std::uint32_t>(peak);
     result.bytesMoved += result.edges[ei].totalBytes;
-    if (placement != nullptr &&
-        placement->domainOfStage[pair.first] !=
-            placement->domainOfStage[pair.second])
-      result.crossDomainBytes += result.edges[ei].totalBytes;
   }
   return result;
-}
-
-} // namespace
-
-ChannelSimResult simulateChannels(const codegen::TaskProgram& program,
-                                  const pipeline::CommInfo& comm,
-                                  const CostModel& model) {
-  return simulateChannelsImpl(program, comm, model, nullptr, nullptr);
-}
-
-ChannelSimResult simulateChannels(const codegen::TaskProgram& program,
-                                  const pipeline::CommInfo& comm,
-                                  const CostModel& model,
-                                  const rt::Topology& topology,
-                                  const rt::Placement& placement) {
-  return simulateChannelsImpl(program, comm, model, &topology, &placement);
-}
-
-std::uint64_t crossStageBytes(const codegen::TaskProgram& program,
-                              const pipeline::CommInfo& comm) {
-  const StagePlacement p = placeStages(program);
-  const opt::SlotTable slots = opt::buildSlotTable(program);
-  std::set<std::pair<std::size_t, std::size_t>> pairs;
-  for (std::size_t i = 0; i < program.tasks.size(); ++i)
-    for (const std::uint32_t* s = slots.inBegin(i); s != slots.inEnd(i); ++s)
-      if (p.place[*s].first != p.place[i].first)
-        pairs.emplace(p.place[*s].first, p.place[i].first);
-  std::uint64_t bytes = 0;
-  for (const auto& [src, tgt] : pairs)
-    if (const pipeline::EdgeComm* e =
-            comm.edge(p.stmtOf[src], p.stmtOf[tgt]))
-      bytes += e->totalBytes;
-  return bytes;
 }
 
 double sequentialTime(const scop::Scop& scop, const CostModel& model) {

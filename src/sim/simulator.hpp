@@ -12,8 +12,6 @@
 #include "codegen/task_program.hpp"
 #include "opt/optimizer.hpp"
 #include "pipeline/comm.hpp"
-#include "runtime/placement.hpp"
-#include "runtime/topology.hpp"
 #include "scop/scop.hpp"
 #include "trace/trace.hpp"
 
@@ -111,9 +109,6 @@ struct ChannelSimResult {
   double makespan = 0.0;
   double commTime = 0.0; // total edge-latency seconds paid (all tokens)
   std::uint64_t bytesMoved = 0;
-  /// Bytes on edges whose placed endpoints live in different topology
-  /// domains (0 on the placement-free overload).
-  std::uint64_t crossDomainBytes = 0;
   std::size_t numStages = 0;
   std::vector<ChannelEdgeLoad> edges;
 
@@ -138,37 +133,6 @@ struct ChannelSimResult {
 ChannelSimResult simulateChannels(const codegen::TaskProgram& program,
                                   const pipeline::CommInfo& comm,
                                   const CostModel& model);
-
-/// Topology-aware variant: predicts the channel route under a concrete
-/// stage placement (rt::placeStagesTopology / placeStagesBalanced output
-/// for this program's stages) on a concrete topology. Differences from
-/// the placement-free overload:
-///   * stages sharing a worker serialize — a worker clock joins the
-///     per-stage clock, so the predicted makespan reflects worker
-///     contention, not one-idealized-worker-per-stage;
-///   * a cross-worker edge's latency scales with the placed domain
-///     pair's cost class:
-///       latency = channelTokenOverhead
-///               + commCostPerByte * bytesPerToken * classCost(da, db),
-///     while a same-worker edge pays only channelTokenOverhead (nothing
-///     moves).
-/// Ranking simulateChannels over candidate placements is the predicted
-/// side of the E22 ablation; the bench's measured ranking must agree
-/// (spot-checked in sim_test).
-ChannelSimResult simulateChannels(const codegen::TaskProgram& program,
-                                  const pipeline::CommInfo& comm,
-                                  const CostModel& model,
-                                  const rt::Topology& topology,
-                                  const rt::Placement& placement);
-
-/// Bytes crossing statement boundaries through the program's dependency
-/// edges: for every statement pair connected by at least one cross-stage
-/// in-dependency, the analyzed volume of that pipeline edge. The
-/// optimizer's second objective — transitive reduction that removes the
-/// last dependency between two statements removes the whole channel, and
-/// this is the byte count that removal saves.
-std::uint64_t crossStageBytes(const codegen::TaskProgram& program,
-                              const pipeline::CommInfo& comm);
 
 /// Time of the original (un-pipelined) program: all iterations in order.
 double sequentialTime(const scop::Scop& scop, const CostModel& model);

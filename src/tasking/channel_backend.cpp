@@ -12,7 +12,6 @@
 #include <cerrno>
 #include <chrono>
 #include <climits>
-#include <cmath>
 #include <condition_variable>
 #include <cstdlib>
 #include <cstring>
@@ -24,18 +23,10 @@
 #include <unordered_map>
 #include <vector>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace pipoly::tasking {
 
-// Stage placement itself lives in rt/placement.{hpp,cpp}: the PR 8
-// comm-weighted DP (placeStagesBalanced, kept bit-identical) and the
-// topology-weighted partitioner (placeStagesTopology) are shared with
-// the simulator and the optimizer, so all three layers place against
-// the same objective.
+// Stage placement itself lives in rt/placement.{hpp,cpp}: the
+// comm-weighted contiguous DP (placeStagesBalanced).
 
 std::optional<unsigned> parseChannelBackoff(const char* text) {
   if (text == nullptr)
@@ -78,36 +69,6 @@ unsigned channelBackoffCap() {
     return *parsed;
   }();
   return cap;
-}
-
-/// Deterministic producer-side transfer emulation (see
-/// ChannelOptions::emulateRemoteNsPerByte): burn `ns` on the clock, not
-/// the scheduler, so an emulated remote push costs the same on every
-/// run and A/B placement ratios are stable.
-void spinNanos(std::uint32_t ns) {
-  const auto until =
-      std::chrono::steady_clock::now() + std::chrono::nanoseconds(ns);
-  while (std::chrono::steady_clock::now() < until) {
-  }
-}
-
-/// Best-effort affinity pin of the calling thread to a domain's cpu
-/// list. A failed pin degrades to an unpinned worker, never an error —
-/// the list may describe another machine (a replayed spec file).
-void pinThreadToCpus(const std::vector<int>& cpus) {
-#if defined(__linux__)
-  if (cpus.empty())
-    return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  for (const int c : cpus)
-    if (c >= 0 && c < CPU_SETSIZE)
-      CPU_SET(c, &set);
-  if (CPU_COUNT(&set) > 0)
-    (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)cpus;
-#endif
 }
 
 } // namespace
@@ -154,9 +115,7 @@ public:
       stages_.emplace_back();
       stages_.back().numTasks = stageTasks[s];
     }
-    // Validate and monotonize the specs up front; the edge objects are
-    // only built after placement, which decides ring sizing (cross-domain
-    // rings grow by the pair's cost class) and transfer emulation.
+    // Validate and monotonize the specs up front.
     for (EdgeSpec& spec : specs) {
       PIPOLY_CHECK_MSG(spec.src < numStages && spec.tgt < numStages &&
                            spec.src != spec.tgt,
@@ -174,41 +133,13 @@ public:
         std::min<std::size_t>(workers, std::max<std::size_t>(numStages, 1)));
     numWorkers_ = workers;
 
-    if (options.topology.has_value()) {
-      hasTopology_ = true;
-      topology_ = options.topology->numWorkers() == workers
-                      ? *options.topology
-                      : options.topology->resized(workers);
-      topology_.validate();
-    }
-
     std::vector<rt::StageEdge> weightedEdges;
     weightedEdges.reserve(specs.size());
     for (const EdgeSpec& spec : specs)
       weightedEdges.push_back(
           {spec.src, spec.tgt,
            std::max<std::uint64_t>(spec.weightBytes, 1)});
-    if (numStages != 0) {
-      if (hasTopology_ && options.topologyAwarePlacement) {
-        rt::PlacementOptions popts;
-        popts.lambda = options.placementLambda;
-        placement_ = rt::placeStagesTopology(stageTasks, workers,
-                                             weightedEdges, topology_, popts);
-      } else {
-        placement_ =
-            rt::placeStagesBalanced(stageTasks, workers, weightedEdges);
-        // The A/B baseline (old DP on a real topology) still charges
-        // domains per the topology: emulation and ring sizing see the
-        // same machine model, only the placement differs.
-        if (hasTopology_)
-          for (std::size_t s = 0; s < numStages; ++s)
-            placement_.domainOfStage[s] =
-                topology_.domainOfWorker[placement_.workerOfStage[s]];
-      }
-    } else {
-      placement_.ownedStages.assign(workers, {});
-    }
-    ownedStages_ = placement_.ownedStages;
+    placement_ = rt::placeStagesBalanced(stageTasks, workers, weightedEdges);
 
     for (EdgeSpec& spec : specs) {
       // Token-ring sizing: comm-derived capacitySlots is a lower bound
@@ -221,38 +152,12 @@ public:
       // switch each. Two batches of tokens can be outstanding (producer
       // one batch ahead, consumer not yet drained), hence the factor.
       const std::uint32_t idx = static_cast<std::uint32_t>(edges_.size());
-      std::uint64_t tokenCapacity = std::max<std::uint64_t>(
+      const std::uint64_t tokenCapacity = std::max<std::uint64_t>(
           spec.capacitySlots,
           std::min<std::size_t>(2 * stageTasks[spec.src] + 2, UINT32_MAX));
-      const bool crossWorker =
-          placement_.workerOfStage[spec.src] !=
-          placement_.workerOfStage[spec.tgt];
-      const unsigned da = placement_.domainOfStage[spec.src];
-      const unsigned db = placement_.domainOfStage[spec.tgt];
-      const double cls = hasTopology_ ? topology_.costClass(da, db) : 1.0;
-      // A cross-domain ring is the slow link: size it up by the cost
-      // class so the producer can run further ahead and the (emulated or
-      // real) extra latency amortizes over a deeper ring.
-      if (da != db && cls > 1.0)
-        tokenCapacity = std::min<std::uint64_t>(
-            tokenCapacity *
-                static_cast<std::uint64_t>(std::ceil(cls)),
-            UINT32_MAX);
-      std::uint32_t emulateNs = 0;
-      if (crossWorker && !spec.ackOnly &&
-          options.emulateRemoteNsPerByte > 0.0) {
-        const double bytesPerToken =
-            static_cast<double>(std::max<std::uint64_t>(spec.weightBytes,
-                                                        1)) /
-            static_cast<double>(std::max<std::size_t>(
-                stageTasks[spec.src], 1));
-        emulateNs = static_cast<std::uint32_t>(std::min(
-            options.emulateRemoteNsPerByte * bytesPerToken * cls, 1.0e9));
-      }
       edges_.emplace_back(spec.src, spec.tgt,
                           static_cast<std::uint32_t>(tokenCapacity),
                           spec.ackOnly, std::move(spec.reqTokens));
-      edges_.back().emulateNs = emulateNs;
       stages_[spec.src].outEdges.push_back(idx);
       stages_[spec.tgt].inEdges.push_back(idx);
     }
@@ -297,7 +202,7 @@ public:
       return;
     if (threads_.empty()) {
       WorkerStats local;
-      runStages(ownedStages_[0], local);
+      runStages(placement_.ownedStages[0], local);
       mergeStats(local);
     } else {
       {
@@ -354,9 +259,6 @@ private:
     std::size_t src;
     std::size_t tgt;
     bool ackOnly;
-    /// Producer-side spin per pushed token (synthetic NUMA emulation;
-    /// 0 = off). Set once at construction from the placed domain pair.
-    std::uint32_t emulateNs = 0;
     std::vector<std::uint64_t> reqTokens;
     rt::SpscQueue<std::uint32_t> ring; // forward: block-completion tokens
     rt::SpscQueue<std::uint8_t> ack;   // reverse: one token per batch
@@ -401,11 +303,6 @@ private:
   }
 
   void workerMain(unsigned w) {
-    // Per-domain worker pinning: keep each stage worker on its domain's
-    // cores so a domain-local ring really is socket-local traffic.
-    if (hasTopology_ && !topology_.cpusOfDomain.empty() &&
-        w < topology_.domainOfWorker.size())
-      pinThreadToCpus(topology_.cpusOfDomain[topology_.domainOfWorker[w]]);
     std::uint64_t seenGen = 0;
     for (;;) {
       {
@@ -416,7 +313,7 @@ private:
         seenGen = runGen_;
       }
       WorkerStats local;
-      runStages(ownedStages_[w], local);
+      runStages(placement_.ownedStages[w], local);
       {
         std::lock_guard<std::mutex> lock(mutex_);
         stats_.tokensPushed += local.tokensPushed;
@@ -552,8 +449,6 @@ private:
           continue;
         ++e.pushed;
         ++local.tokensPushed;
-        if (e.emulateNs != 0)
-          spinNanos(e.emulateNs);
         if (!e.ring.tryPush(static_cast<std::uint32_t>(st.pos)))
           PIPOLY_CHECK_MSG(
               stages_[e.tgt].finished.load(std::memory_order_acquire),
@@ -578,9 +473,6 @@ private:
   std::deque<Stage> stages_;
   std::deque<Edge> edges_;
   rt::Placement placement_;
-  rt::Topology topology_;
-  bool hasTopology_ = false;
-  std::vector<std::vector<std::size_t>> ownedStages_;
   std::vector<std::thread> threads_;
   unsigned numWorkers_ = 1;
 

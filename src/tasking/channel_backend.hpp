@@ -44,7 +44,6 @@
 #include "codegen/task_program.hpp"
 #include "pipeline/comm.hpp"
 #include "runtime/placement.hpp"
-#include "runtime/topology.hpp"
 #include "tasking/replay_executor.hpp"
 #include "tasking/tasking.hpp"
 
@@ -62,27 +61,6 @@ struct ChannelOptions {
   unsigned numWorkers = 0;
   /// Ring capacity for edges the communication analysis did not size.
   std::uint32_t defaultCapacitySlots = 8;
-  /// Hardware topology for stage placement (rt/topology.hpp). Unset =
-  /// the topology-agnostic PR 8 route, byte for byte. When set:
-  /// placement is topology-weighted (placeStagesTopology), workers are
-  /// pinned to their domain's cpu list when the topology carries one,
-  /// and cross-domain rings are sized larger (by the pair's cost class)
-  /// to amortize the slower link.
-  std::optional<rt::Topology> topology;
-  /// λ of the placement objective (rt::PlacementOptions::lambda).
-  double placementLambda = 1.0;
-  /// Force the topology-agnostic PR 8 DP even when `topology` is set.
-  /// Pinning, ring sizing and emulation still honor the topology — this
-  /// is the A/B baseline of the `bench_channel --numa` gate (same
-  /// machine model, old placement).
-  bool topologyAwarePlacement = true;
-  /// Synthetic NUMA emulation for benchmarks/tests on single-socket
-  /// hosts: every cross-worker token push costs
-  ///   emulateRemoteNsPerByte × (edge bytes per token) × cost class
-  /// nanoseconds of producer-side spin (same-worker edges are free —
-  /// nothing moves). 0 disables. Deterministic by construction, so A/B
-  /// placement comparisons measure the placement, not scheduler noise.
-  double emulateRemoteNsPerByte = 0.0;
 };
 
 /// Strict parser for PIPOLY_CHANNEL_BACKOFF (the idle-poll count at
@@ -117,7 +95,7 @@ public:
   unsigned numWorkers() const;
 
   /// The stage placement the engine runs with (owned stages per worker,
-  /// domain map, objective diagnostics). Stable for the pipeline's
+  /// load and severed-bytes diagnostics). Stable for the pipeline's
   /// lifetime.
   const rt::Placement& placement() const;
 

@@ -155,10 +155,6 @@ void CompiledPipeline::compile(const opt::SlotTable* slots) {
     ChannelOptions channelOptions;
     channelOptions.numWorkers = options_.numThreads;
     channelOptions.defaultCapacitySlots = options_.channelCapacitySlots;
-    channelOptions.topology = options_.topology;
-    channelOptions.placementLambda = options_.placementLambda;
-    channelOptions.topologyAwarePlacement = options_.topologyAwarePlacement;
-    channelOptions.emulateRemoteNsPerByte = options_.emulateRemoteNsPerByte;
     channels_ = std::make_unique<ChannelPipeline>(program_, channelOptions,
                                                   options_.comm);
   }

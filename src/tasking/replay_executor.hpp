@@ -45,7 +45,6 @@
 
 #include "opt/optimizer.hpp"
 #include "runtime/thread_pool.hpp"
-#include "runtime/topology.hpp"
 #include "tasking/executor.hpp"
 
 #include <atomic>
@@ -88,14 +87,6 @@ struct ReplayOptions {
   const pipeline::CommInfo* comm = nullptr;
   /// Ring capacity for channel edges `comm` did not size.
   std::uint32_t channelCapacitySlots = 8;
-  /// Hardware topology for channel-route stage placement (see
-  /// ChannelOptions::topology). Unset = topology-agnostic placement.
-  std::optional<rt::Topology> topology;
-  /// λ of the topology placement objective and the A/B placement switch
-  /// + synthetic-NUMA knob, forwarded to ChannelOptions verbatim.
-  double placementLambda = 1.0;
-  bool topologyAwarePlacement = true;
-  double emulateRemoteNsPerByte = 0.0;
 };
 
 class CompiledPipeline {

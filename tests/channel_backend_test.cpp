@@ -4,7 +4,8 @@
 // regression for the transitive-reduction hazard (batch acks must follow
 // the full statement readership, not just the surviving task edges — on
 // BOTH the task-depend graph and the channel network), the generic-route
-// TaskingLayer, statementReadership, and retainedBytes accounting.
+// TaskingLayer, statementReadership, retainedBytes accounting, and the
+// engine's stage placement invariant.
 
 #include "tasking/channel_backend.hpp"
 
@@ -14,6 +15,7 @@
 #include "opt/optimizer.hpp"
 #include "pipeline/comm.hpp"
 #include "pipeline/detect.hpp"
+#include "runtime/placement.hpp"
 #include "tasking/executor.hpp"
 #include "tasking/replay_executor.hpp"
 #include "testing/interpreted_kernel.hpp"
@@ -22,6 +24,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <utility>
 #include <vector>
@@ -243,97 +246,44 @@ TEST(ChannelBackoffTest, StrictParseAndRejectContract) {
   EXPECT_FALSE(parseChannelBackoff("99999999999999999999").has_value());
 }
 
-TEST(ChannelPlacementTest, UmaTopologyMatchesTheTopologyFreePlacement) {
-  // The engine-level half of the uma differential: a ChannelPipeline
-  // given an explicit uma topology must choose the same stage-to-worker
-  // assignment, byte for byte, as the PR 8 topology-free route.
-  for (const char* name : {"P1", "P5", "P8"}) {
-    const scop::Scop scop =
-        kernels::buildProgram(kernels::programByName(name), 10);
+TEST(ChannelPlacementTest, EngineOwnsEveryStageOnceAtTheBalancedMaxLoad) {
+  // The engine places with the comm-weighted contiguous DP: concatenated
+  // in worker order, the owned ranges are exactly stages 0..S-1, and the
+  // load is as balanced as the byte-free DP can make it (the DP is
+  // lexicographic, load first, so edge bytes never cost balance).
+  for (const kernels::ProgramSpec& spec : kernels::table9Programs()) {
+    const scop::Scop scop = kernels::buildProgram(spec, 16);
     const pipeline::PipelineInfo info = pipeline::detectPipeline(scop);
     const pipeline::CommInfo comm = pipeline::analyzeCommunication(scop, info);
     auto prog = compileShared(scop, true);
-    for (unsigned workers : {1u, 2u, 4u}) {
-      ChannelOptions plain;
-      plain.numWorkers = workers;
-      ChannelPipeline base(prog, plain, &comm);
-
-      ChannelOptions uma = plain;
-      uma.topology = rt::Topology::uma(workers);
-      ChannelPipeline topo(prog, uma, &comm);
-
-      EXPECT_EQ(topo.placement().ownedStages, base.placement().ownedStages)
-          << name << " workers " << workers;
-      EXPECT_EQ(topo.placement().workerOfStage,
-                base.placement().workerOfStage);
-      EXPECT_EQ(topo.placement().maxLoad, base.placement().maxLoad);
-      EXPECT_EQ(topo.placement().crossWorkerBytes,
-                base.placement().crossWorkerBytes);
-    }
-  }
-}
-
-TEST(ChannelPlacementTest, NumaTopologyKeepsReplayBitIdentical) {
-  // Placement, pinning, larger cross-domain rings and the synthetic
-  // remote-transfer emulation change the schedule, never the values:
-  // every topology variant must reproduce the sequential fingerprint.
-  for (const char* name : {"P1", "P5", "P8"}) {
-    const scop::Scop scop =
-        kernels::buildProgram(kernels::programByName(name), 10);
-    const std::uint64_t expected = testing::sequentialFingerprint(scop);
-    const pipeline::PipelineInfo info = pipeline::detectPipeline(scop);
-    const pipeline::CommInfo comm = pipeline::analyzeCommunication(scop, info);
-    auto prog = compileShared(scop, true);
-    for (const char* preset : {"2x-numa", "ring"}) {
-      for (bool aware : {true, false}) {
-        ChannelOptions options;
-        options.numWorkers = 4;
-        options.topology = rt::Topology::fromSpec(preset, 4);
-        options.topologyAwarePlacement = aware;
-        options.emulateRemoteNsPerByte = 0.5;
-        ChannelPipeline pipe(prog, options, &comm);
-        EXPECT_EQ(pipe.placement().topologyAware, aware);
-        testing::InterpretedKernel kernel(scop);
-        pipe.replay(kernel.executor());
-        EXPECT_EQ(kernel.fingerprint(), expected)
-            << name << " " << preset << (aware ? " aware" : " baseline");
-        // Streaming under the same machine model.
-        kernel.reset();
-        pipe.replayBatches(3, [&](std::size_t, std::size_t s,
-                                  const pb::Tuple& it) {
-          kernel.execute(s, it);
-        });
+    std::vector<std::size_t> stageTasks(prog->numStatements, 0);
+    for (const codegen::Task& t : prog->tasks)
+      ++stageTasks[t.stmtIdx];
+    stageTasks.erase(std::remove(stageTasks.begin(), stageTasks.end(), 0u),
+                     stageTasks.end());
+    const std::size_t stages = stageTasks.size();
+    for (unsigned workers : {1u, 2u, 3u, 4u, 8u}) {
+      ChannelOptions options;
+      options.numWorkers = workers;
+      ChannelPipeline pipe(prog, options, &comm);
+      const rt::Placement& p = pipe.placement();
+      const unsigned eff =
+          static_cast<unsigned>(std::min<std::size_t>(workers, stages));
+      ASSERT_EQ(pipe.numWorkers(), eff) << spec.name;
+      ASSERT_EQ(p.ownedStages.size(), eff) << spec.name;
+      std::vector<std::size_t> order;
+      for (const std::vector<std::size_t>& owned : p.ownedStages) {
+        EXPECT_FALSE(owned.empty()) << spec.name << " workers " << workers;
+        order.insert(order.end(), owned.begin(), owned.end());
       }
+      std::vector<std::size_t> expected(stages);
+      std::iota(expected.begin(), expected.end(), std::size_t{0});
+      EXPECT_EQ(order, expected) << spec.name << " workers " << workers;
+      EXPECT_EQ(p.maxLoad,
+                rt::placeStagesBalanced(stageTasks, eff, {}).maxLoad)
+          << spec.name << " workers " << workers;
     }
   }
-}
-
-TEST(ChannelPlacementTest, CrossDomainRingsAreSizedUpByTheCostClass) {
-  // A cross-domain edge of class c > 1 gets a ring roughly c times the
-  // uma capacity (to amortize the slower link), so the topology pipeline
-  // retains strictly more ring storage whenever placement crosses
-  // domains.
-  const scop::Scop scop =
-      kernels::buildProgram(kernels::programByName("P5"), 10);
-  const pipeline::PipelineInfo info = pipeline::detectPipeline(scop);
-  const pipeline::CommInfo comm = pipeline::analyzeCommunication(scop, info);
-  auto prog = compileShared(scop, true);
-
-  ChannelOptions plain;
-  plain.numWorkers = 4;
-  ChannelPipeline base(prog, plain, &comm);
-
-  ChannelOptions numa = plain;
-  numa.topology = rt::Topology::numa2(4, 4.0);
-  ChannelPipeline topo(prog, numa, &comm);
-
-  if (topo.placement().crossDomainBytes > 0)
-    EXPECT_GT(topo.retainedBytes(), base.retainedBytes());
-  // And it still computes the right answer.
-  const std::uint64_t expected = testing::sequentialFingerprint(scop);
-  testing::InterpretedKernel kernel(scop);
-  topo.replay(kernel.executor());
-  EXPECT_EQ(kernel.fingerprint(), expected);
 }
 
 } // namespace

@@ -346,20 +346,44 @@ TEST(ReplayEdgeCaseTest, EmptyProgramAndZeroBatchesAreNoOps) {
 }
 
 TEST(ReplayEdgeCaseTest, ExceptionsFromTheExecutorPropagateAndClearState) {
+  // Both replay routes, serial and threaded: an exception thrown by a
+  // statement body must reach the caller (no hang, no lost error), both
+  // on a single replay and mid-stream, and the pipeline must stay usable.
   const scop::Scop scop = testing::listing3(10);
   const std::uint64_t expected = testing::sequentialFingerprint(scop);
   auto prog = compileShared(scop, false);
-  CompiledPipeline pipe(prog, CompiledPipeline::Options{4, true});
+  for (bool channels : {false, true}) {
+    for (unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (channels ? "channel" : "task-depend") << " route, "
+                   << threads << " threads");
+      CompiledPipeline::Options options;
+      options.numThreads = threads;
+      options.channels = channels;
+      CompiledPipeline pipe(prog, options);
 
-  EXPECT_THROW(pipe.replay([&](std::size_t, const pb::Tuple&) {
-    throw Error("executor failure");
-  }),
-               Error);
+      EXPECT_THROW(pipe.replay([&](std::size_t, const pb::Tuple&) {
+        throw Error("executor failure");
+      }),
+                   Error);
+      testing::InterpretedKernel kernel(scop);
+      pipe.replay(kernel.executor());
+      EXPECT_EQ(kernel.fingerprint(), expected);
 
-  // The pipeline must stay usable after a failed replay.
-  testing::InterpretedKernel kernel(scop);
-  pipe.replay(kernel.executor());
-  EXPECT_EQ(kernel.fingerprint(), expected);
+      // Mid-stream: batches 0 and 1 run clean, every body of batch 2
+      // throws.
+      EXPECT_THROW(pipe.replayBatches(5,
+                                      [&](std::size_t batch, std::size_t,
+                                          const pb::Tuple&) {
+                                        if (batch == 2)
+                                          throw Error("mid-stream failure");
+                                      }),
+                   Error);
+      kernel.reset();
+      pipe.replay(kernel.executor());
+      EXPECT_EQ(kernel.fingerprint(), expected);
+    }
+  }
 }
 
 TEST(ReplayThroughTest, BackendPathMatchesOnEveryBackend) {
