@@ -2,6 +2,7 @@
 // the Presburger substrate, the pipeline detection phases, end-to-end
 // compilation, the tasking backends and the machine simulator.
 
+#include "ast/ast.hpp"
 #include "codegen/task_program.hpp"
 #include "frontend/frontend.hpp"
 #include "kernels/reduction_kernels.hpp"
@@ -13,14 +14,17 @@
 #include "pipeline/symbolic.hpp"
 #include "presburger/map.hpp"
 #include "presburger/parser.hpp"
+#include "schedule/build.hpp"
 #include "scop/builder.hpp"
 #include "sim/simulator.hpp"
+#include "tasking/replay_executor.hpp"
 #include "tasking/tasking.hpp"
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -240,6 +244,27 @@ void BM_Optimize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Optimize)->Arg(16)->Arg(32)->Arg(64);
+
+// The compile tail from the AST to a ready engine: lower -> validate ->
+// optimize -> slot table -> CompiledPipeline (construction only; the
+// worker pool is created lazily by the first replay).
+void BM_LowerToEngine(benchmark::State& state) {
+  const scop::Scop scop = kernels::buildProgram(
+      kernels::programByName("P5"), state.range(0));
+  const pipeline::PipelineInfo info = pipeline::detectPipeline(scop);
+  const ast::Ast lowered =
+      ast::buildAst(scop, *sched::buildPipelineSchedule(scop, info));
+  for (auto _ : state) {
+    codegen::TaskProgram prog = codegen::lowerToTasks(scop, lowered);
+    prog.validate(scop);
+    opt::optimize(prog);
+    const opt::SlotTable slots = opt::buildSlotTable(prog);
+    tasking::CompiledPipeline engine(
+        std::make_shared<const codegen::TaskProgram>(std::move(prog)), slots);
+    benchmark::DoNotOptimize(engine.numTasks());
+  }
+}
+BENCHMARK(BM_LowerToEngine)->Arg(64)->Unit(benchmark::kMillisecond);
 
 // Dependency resolution, legacy vs interned: what a backend pays per run
 // to map each in-dependency (idx, tag) to its producer.

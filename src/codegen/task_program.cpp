@@ -1,11 +1,13 @@
 #include "codegen/task_program.hpp"
 
 #include "pipeline/detect.hpp"
+#include "presburger/rows.hpp"
 #include "schedule/build.hpp"
 #include "support/assert.hpp"
 #include "trace/trace.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 
@@ -52,6 +54,177 @@ ProgramCounts TaskProgram::counts() const {
   return c;
 }
 
+bool producersMatch(const TaskProgram& program,
+                    std::span<const std::uint32_t> ids,
+                    std::span<const std::uint32_t> offsets) {
+  const std::vector<Task>& tasks = program.tasks;
+  const std::size_t n = tasks.size();
+  if (offsets.size() != n + 1 || offsets[0] != 0 || offsets[n] != ids.size())
+    return false;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::vector<TaskDep>& in = tasks[i].in;
+    if (offsets[i + 1] < offsets[i] || offsets[i + 1] - offsets[i] != in.size())
+      return false;
+    const std::uint32_t* p = ids.data() + offsets[i];
+    for (std::size_t k = 0; k < in.size(); ++k) {
+      if (p[k] >= i)
+        return false;
+      const TaskDep& out = tasks[p[k]].out;
+      if (out.idx != in[k].idx || out.tag != in[k].tag)
+        return false;
+    }
+  }
+  return true;
+}
+
+bool TaskProgram::producersMatch() const {
+  return codegen::producersMatch(*this, producers.ids, producers.offsets);
+}
+
+namespace {
+
+/// Resolves every in-dependency by tag through the hashed owner index: the
+/// path of hand-assembled and hand-edited programs. O(tasks + edges)
+/// expected.
+ProducerTable resolveByTag(const TaskProgram& program) {
+  const OutOwnerIndex owner = program.buildOutOwnerIndex();
+  ProducerTable table;
+  table.offsets.reserve(program.tasks.size() + 1);
+  table.offsets.push_back(0);
+  for (const Task& t : program.tasks) {
+    for (const TaskDep& dep : t.in) {
+      auto it = owner.find({dep.idx, dep.tag});
+      PIPOLY_CHECK_MSG(it != owner.end(),
+                       "in-dependency with no producing task");
+      PIPOLY_CHECK_MSG(it->second < t.id,
+                       "in-dependency on a later task (creation order)");
+      table.ids.push_back(static_cast<std::uint32_t>(it->second));
+    }
+    table.offsets.push_back(static_cast<std::uint32_t>(table.ids.size()));
+  }
+  return table;
+}
+
+/// A sorted, duplicate-free row set (an IntTupleSet's storage) with a
+/// rank lookup. Lookups usually advance one row at a time, so the
+/// previous answer is tried first and a binary search is the exception.
+class RankedRows {
+public:
+  explicit RankedRows(const pb::IntTupleSet& set)
+      : data_(set.rowData().data()), count_(set.size()), width_(set.arity()) {}
+
+  std::size_t size() const { return count_; }
+  std::size_t width() const { return width_; }
+
+  /// The rank of `point`, or count() when it is not in the set.
+  std::size_t rankOf(const pb::Value* point) {
+    for (std::size_t r = hint_; r < count_ && r < hint_ + 2; ++r) {
+      const int c = pb::rows::compare(row(r), point, width_);
+      if (c == 0)
+        return hint_ = r;
+      if (c > 0)
+        break;
+    }
+    std::size_t lo = 0, hi = count_;
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      if (pb::rows::less(row(mid), point, width_))
+        lo = mid + 1;
+      else
+        hi = mid;
+    }
+    if (lo == count_ || !pb::rows::equal(row(lo), point, width_))
+      return count_;
+    return hint_ = lo;
+  }
+
+private:
+  const pb::Value* row(std::size_t r) const { return data_ + r * width_; }
+
+  const pb::Value* data_;
+  std::size_t count_;
+  std::size_t width_;
+  std::size_t hint_ = 0;
+};
+
+/// A forward cursor over an IntMap's rows (sorted by domain point): given
+/// domain points in increasing order, it yields each point's images as
+/// views into the map's storage, without allocating.
+class ImageCursor {
+public:
+  explicit ImageCursor(const pb::IntMap& map)
+      : data_(map.rowData().data()), count_(map.size()),
+        in_(map.domainSpace().arity()),
+        width_(in_ + map.rangeSpace().arity()) {}
+
+  /// Moves to the rows of domain point `point` and returns their count;
+  /// image(k) is then the k-th image. `point` must not precede the
+  /// previous one.
+  std::size_t seek(const pb::Value* point) {
+    begin_ = end_;
+    while (begin_ < count_ && pb::rows::less(row(begin_), point, in_))
+      ++begin_;
+    end_ = begin_;
+    while (end_ < count_ && pb::rows::equal(row(end_), point, in_))
+      ++end_;
+    return end_ - begin_;
+  }
+
+  pb::TupleView image(std::size_t k) const {
+    return pb::TupleView(row(begin_ + k) + in_, width_ - in_);
+  }
+
+private:
+  const pb::Value* row(std::size_t r) const { return data_ + r * width_; }
+
+  const pb::Value* data_;
+  std::size_t count_;
+  std::size_t in_;
+  std::size_t width_;
+  std::size_t begin_ = 0, end_ = 0;
+};
+
+/// Out tags are unique. Lowered programs emit each slot index's tags as
+/// increasing runs (blocks in lexicographic order, one combine per
+/// statement), so ordering the runs settles it; only programs whose runs
+/// of one index overlap sort every pair.
+void checkUniqueOuts(const std::vector<Task>& tasks) {
+  struct Run {
+    int idx;
+    std::int64_t first, last;
+  };
+  std::vector<Run> runs;
+  for (const Task& t : tasks) {
+    if (runs.empty() || runs.back().idx != t.out.idx ||
+        runs.back().last >= t.out.tag)
+      runs.push_back({t.out.idx, t.out.tag, t.out.tag});
+    else
+      runs.back().last = t.out.tag;
+  }
+  std::sort(runs.begin(), runs.end(), [](const Run& a, const Run& b) {
+    return std::tie(a.idx, a.first) < std::tie(b.idx, b.first);
+  });
+  bool disjoint = true;
+  for (std::size_t r = 1; r < runs.size() && disjoint; ++r)
+    disjoint = runs[r - 1].idx != runs[r].idx ||
+               runs[r - 1].last < runs[r].first;
+  if (disjoint)
+    return;
+  std::vector<std::pair<int, std::int64_t>> outs;
+  outs.reserve(tasks.size());
+  for (const Task& t : tasks)
+    outs.emplace_back(t.out.idx, t.out.tag);
+  std::sort(outs.begin(), outs.end());
+  PIPOLY_CHECK_MSG(std::adjacent_find(outs.begin(), outs.end()) == outs.end(),
+                   "duplicate out-dependency tag");
+}
+
+} // namespace
+
+ProducerTable resolveProducers(const TaskProgram& program) {
+  return program.producersMatch() ? program.producers : resolveByTag(program);
+}
+
 void TaskProgram::validate(const scop::Scop& scop) const {
   trace::Span span("codegen.validate");
   PIPOLY_CHECK(numStatements == scop.numStatements());
@@ -61,41 +234,39 @@ void TaskProgram::validate(const scop::Scop& scop) const {
     for (std::size_t r : readers)
       PIPOLY_CHECK_MSG(r < numStatements, "stmtReaders index out of range");
 
-  // Out-dependencies are unique and tasks are creation-ordered by id.
-  // O(n) expected through the hashed owner index.
-  OutOwnerIndex outOwner;
-  outOwner.reserve(tasks.size() * 2);
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
+  // Tasks are creation-ordered by id and out-dependencies are unique.
+  for (std::size_t i = 0; i < tasks.size(); ++i)
     PIPOLY_CHECK(tasks[i].id == i);
-    auto [it, fresh] = outOwner.try_emplace(
-        std::make_pair(tasks[i].out.idx, tasks[i].out.tag), i);
-    PIPOLY_CHECK_MSG(fresh, "duplicate out-dependency tag");
-  }
+  checkUniqueOuts(tasks);
 
   // Every in-dependency must resolve to an earlier task (OpenMP depend
-  // "last writer" semantics with our creation order). O(deps) expected.
-  for (const Task& t : tasks) {
-    for (const TaskDep& dep : t.in) {
-      auto it = outOwner.find({dep.idx, dep.tag});
-      PIPOLY_CHECK_MSG(it != outOwner.end(),
-                       "in-dependency with no producing task");
-      PIPOLY_CHECK_MSG(it->second < t.id,
-                       "in-dependency on a later task (creation order)");
-    }
-  }
+  // "last writer" semantics with our creation order). A matching producer
+  // table proves it; otherwise resolving by tag names the first violation.
+  if (!producersMatch())
+    (void)resolveByTag(*this);
 
   // Per statement: iterations across Block tasks partition the domain,
   // blocks in lexicographic order, and self-ordering chain intact. One
-  // pass over the task list with per-statement running state (the former
-  // per-statement rescan was O(statements * tasks)). Combine tasks are
-  // checked separately: fold steps enumerate the statement's partial
-  // blocks in order, and the in-dependencies cover every partial.
-  std::vector<const Task*> prev(scop.numStatements(), nullptr);
-  std::vector<std::vector<pb::Tuple>> all(scop.numStatements());
-  std::vector<const Task*> combine(scop.numStatements(), nullptr);
-  std::vector<std::vector<TaskDep>> blockOuts(scop.numStatements());
+  // pass over the task list with per-statement running state; each
+  // iteration marks its rank in the statement's domain, so a miss or a
+  // second visit breaks the partition. Combine tasks are checked
+  // separately: fold steps enumerate the statement's partial blocks in
+  // order, and the in-dependencies cover every partial.
+  const std::size_t numStmts = scop.numStatements();
+  std::vector<const Task*> prev(numStmts, nullptr);
+  std::vector<const Task*> combine(numStmts, nullptr);
+  std::vector<std::vector<TaskDep>> blockOuts(numStmts);
+  std::vector<RankedRows> domains;
+  std::vector<std::vector<bool>> visited(numStmts);
+  std::vector<std::size_t> covered(numStmts, 0);
+  std::vector<bool> partitioned(numStmts, true);
+  domains.reserve(numStmts);
+  for (std::size_t s = 0; s < numStmts; ++s) {
+    domains.emplace_back(scop.statement(s).domain());
+    visited[s].assign(domains[s].size(), false);
+  }
   for (const Task& t : tasks) {
-    PIPOLY_CHECK_MSG(t.stmtIdx < scop.numStatements(),
+    PIPOLY_CHECK_MSG(t.stmtIdx < numStmts,
                      "task statement index out of range");
     PIPOLY_CHECK(!t.iterations.empty());
     PIPOLY_CHECK_MSG(std::is_sorted(t.iterations.begin(), t.iterations.end()),
@@ -136,14 +307,23 @@ void TaskProgram::validate(const scop::Scop& scop) const {
                          "missing same-statement ordering dependency");
       }
     }
-    all[t.stmtIdx].insert(all[t.stmtIdx].end(), t.iterations.begin(),
-                          t.iterations.end());
+    RankedRows& domain = domains[t.stmtIdx];
+    std::vector<bool>& seen = visited[t.stmtIdx];
+    for (const pb::Tuple& it : t.iterations) {
+      const std::size_t r = it.size() == domain.width()
+                                ? domain.rankOf(it.data())
+                                : domain.size();
+      if (r == domain.size() || seen[r]) {
+        partitioned[t.stmtIdx] = false;
+        break;
+      }
+      seen[r] = true;
+      ++covered[t.stmtIdx];
+    }
     prev[t.stmtIdx] = &t;
   }
-  for (std::size_t s = 0; s < scop.numStatements(); ++s) {
-    std::sort(all[s].begin(), all[s].end());
-    PIPOLY_CHECK_MSG(pb::IntTupleSet(scop.statement(s).space(), all[s]) ==
-                         scop.statement(s).domain(),
+  for (std::size_t s = 0; s < numStmts; ++s) {
+    PIPOLY_CHECK_MSG(partitioned[s] && covered[s] == domains[s].size(),
                      "task iterations must partition the statement domain");
     if (const Task* c = combine[s]) {
       PIPOLY_CHECK_MSG(c->iterations.size() == blockOuts[s].size(),
@@ -222,63 +402,138 @@ TaskProgram lowerToTasks(const scop::Scop& scop, const ast::Ast& ast) {
     readers.erase(std::unique(readers.begin(), readers.end()), readers.end());
   }
 
+  // Task ids are known before any task exists: each nest emits one task
+  // per block rep, in rep order, and then its combine task. A producer is
+  // therefore the source's first task id plus the rank of the required
+  // block among the source's reps (or the source's combine id), found
+  // without looking up any tag.
+  constexpr std::uint32_t kNoProducer = UINT32_MAX;
+  const std::size_t numStmts = scop.numStatements();
+  std::vector<std::uint32_t> firstTask(numStmts, kNoProducer);
+  std::vector<std::uint32_t> combineTask(numStmts, kNoProducer);
+  std::vector<RankedRows> reps;
+  reps.reserve(ast.nests.size());
+  std::vector<RankedRows*> repsOf(numStmts, nullptr);
+  std::size_t numTasks = 0;
+  for (const ast::AstLoopNest& nest : ast.nests) {
+    PIPOLY_CHECK_MSG(nest.stmtIdx < numStmts,
+                     "loop nest statement index out of range");
+    reps.emplace_back(nest.blockReps);
+    if (repsOf[nest.stmtIdx] == nullptr) {
+      repsOf[nest.stmtIdx] = &reps.back();
+      firstTask[nest.stmtIdx] = static_cast<std::uint32_t>(numTasks);
+    }
+    numTasks += nest.blockReps.size();
+    if (nest.annotation.reduction.relaxed && !nest.blockReps.empty() &&
+        combineTask[nest.stmtIdx] == kNoProducer)
+      combineTask[nest.stmtIdx] = static_cast<std::uint32_t>(numTasks++);
+  }
+  PIPOLY_CHECK_MSG(numTasks < kNoProducer, "task program too large");
+  auto producerOf = [&](std::size_t stmt, const pb::Value* block) {
+    RankedRows* rows = repsOf[stmt];
+    if (rows == nullptr)
+      return kNoProducer;
+    const std::size_t r = rows->rankOf(block);
+    return r == rows->size() ? kNoProducer
+                             : firstTask[stmt] + static_cast<std::uint32_t>(r);
+  };
+
+  prog.tasks.reserve(numTasks);
+  prog.producers.offsets.reserve(numTasks + 1);
+  prog.producers.offsets.push_back(0);
+  struct PendingDep {
+    TaskDep dep;
+    std::uint32_t producer;
+  };
+  std::vector<PendingDep> deps; // per task, reused
   for (const ast::AstLoopNest& nest : ast.nests) {
     const int stmtSlot = static_cast<int>(nest.stmtIdx);
-    std::optional<TaskDep> prevOut;
-    for (const pb::Tuple& rep : nest.blockReps.points()) {
+    const std::size_t arity = nest.blockReps.arity();
+    const ast::TaskAnnotation& ann = nest.annotation;
+    ImageCursor expansion(nest.expansion);
+    std::vector<ImageCursor> required;
+    required.reserve(ann.inRequirements.size());
+    for (const pipeline::InRequirement& req : ann.inRequirements)
+      required.emplace_back(req.map);
+    ImageCursor selfEdges(ann.selfEdges);
+    const std::size_t nestFirst = prog.tasks.size();
+    if (!ann.chainOrdering && !nest.blockReps.empty())
+      prog.chainOrdering = false;
+
+    for (const pb::TupleView rep : nest.blockReps.points()) {
       Task task;
       task.id = prog.tasks.size();
       task.stmtIdx = nest.stmtIdx;
       task.blockRep = rep;
-      task.iterations = nest.expansion.imagesOf(rep);
-      PIPOLY_CHECK(!task.iterations.empty());
-      task.out = TaskDep{stmtSlot, linearizeBlockVector(rep)};
+      const std::size_t members = expansion.seek(rep.data());
+      PIPOLY_CHECK(members != 0);
+      task.iterations.reserve(members);
+      for (std::size_t k = 0; k < members; ++k)
+        task.iterations.emplace_back(expansion.image(k));
+      task.out = TaskDep{stmtSlot, linearizeBlockVector(task.blockRep)};
 
       // Cross-statement in-dependencies from the Q_S maps (single-valued
       // under chain ordering; exact data-flow edges, possibly several,
       // under relaxed ordering). A viaCombine requirement depends on the
       // source's combine task instead of any block.
-      for (const pipeline::InRequirement& req :
-           nest.annotation.inRequirements) {
+      deps.clear();
+      for (std::size_t q = 0; q < ann.inRequirements.size(); ++q) {
+        const pipeline::InRequirement& req = ann.inRequirements[q];
         if (req.viaCombine) {
-          task.in.push_back(combineDep(prog.numStatements, req.srcStmtIdx));
+          deps.push_back({combineDep(prog.numStatements, req.srcStmtIdx),
+                          combineTask[req.srcStmtIdx]});
           continue;
         }
-        for (const pb::Tuple& image : req.map.imagesOf(rep))
-          task.in.push_back(TaskDep{static_cast<int>(req.srcStmtIdx),
-                                    linearizeBlockVector(image)});
+        const std::size_t images = required[q].seek(rep.data());
+        for (std::size_t k = 0; k < images; ++k) {
+          const pb::Tuple image(required[q].image(k));
+          deps.push_back({TaskDep{static_cast<int>(req.srcStmtIdx),
+                                  linearizeBlockVector(image)},
+                          producerOf(req.srcStmtIdx, image.data())});
+        }
       }
 
-      if (nest.annotation.chainOrdering) {
+      if (ann.chainOrdering) {
         // Same-statement ordering (the funcCount protocol of Fig. 8).
-        if (prevOut)
-          task.in.push_back(
-              TaskDep{prevOut->idx, prevOut->tag, /*selfOrdering=*/true});
+        if (task.id > nestFirst) {
+          const Task& prev = prog.tasks.back();
+          deps.push_back({TaskDep{prev.out.idx, prev.out.tag,
+                                  /*selfOrdering=*/true},
+                          static_cast<std::uint32_t>(prev.id)});
+        }
       } else {
         // §7 relaxation: only the actual cross-block self-dependences.
-        prog.chainOrdering = false;
-        for (const pb::Tuple& required :
-             nest.annotation.selfEdges.imagesOf(rep))
-          task.in.push_back(TaskDep{stmtSlot,
-                                    linearizeBlockVector(required),
-                                    /*selfOrdering=*/true});
+        const std::size_t images = selfEdges.seek(rep.data());
+        for (std::size_t k = 0; k < images; ++k) {
+          const pb::Tuple image(selfEdges.image(k));
+          deps.push_back({TaskDep{stmtSlot, linearizeBlockVector(image),
+                                  /*selfOrdering=*/true},
+                          producerOf(nest.stmtIdx, image.data())});
+        }
       }
 
       // Deduplicate dependency slots (exact data-flow edges can name the
       // same source block several times); keep the selfOrdering flag if
-      // any duplicate carried it.
-      std::sort(task.in.begin(), task.in.end(),
-                [](const TaskDep& a, const TaskDep& b) {
-                  return std::tie(a.idx, a.tag, b.selfOrdering) <
-                         std::tie(b.idx, b.tag, a.selfOrdering);
+      // any duplicate carried it. A slot has one producer, so the
+      // producers follow their dependencies.
+      std::sort(deps.begin(), deps.end(),
+                [](const PendingDep& a, const PendingDep& b) {
+                  return std::tie(a.dep.idx, a.dep.tag, b.dep.selfOrdering) <
+                         std::tie(b.dep.idx, b.dep.tag, a.dep.selfOrdering);
                 });
-      task.in.erase(std::unique(task.in.begin(), task.in.end(),
-                                [](const TaskDep& a, const TaskDep& b) {
-                                  return a.idx == b.idx && a.tag == b.tag;
-                                }),
-                    task.in.end());
-
-      prevOut = task.out;
+      deps.erase(std::unique(deps.begin(), deps.end(),
+                             [](const PendingDep& a, const PendingDep& b) {
+                               return a.dep.idx == b.dep.idx &&
+                                      a.dep.tag == b.dep.tag;
+                             }),
+                 deps.end());
+      task.in.reserve(deps.size());
+      for (const PendingDep& d : deps) {
+        task.in.push_back(d.dep);
+        prog.producers.ids.push_back(d.producer);
+      }
+      prog.producers.offsets.push_back(
+          static_cast<std::uint32_t>(prog.producers.ids.size()));
       prog.tasks.push_back(std::move(task));
     }
 
@@ -287,21 +542,26 @@ TaskProgram lowerToTasks(const scop::Scop& scop, const ast::Ast& ast) {
     // block in deterministic (block) order, after every partial
     // finished. Readers of this statement depend on its combine tag (see
     // the viaCombine branch above).
-    if (nest.annotation.reduction.relaxed && !nest.blockReps.empty()) {
+    if (ann.reduction.relaxed && !nest.blockReps.empty()) {
       Task task;
       task.id = prog.tasks.size();
       task.stmtIdx = nest.stmtIdx;
       task.kind = TaskKind::ReductionCombine;
-      const std::size_t arity = nest.blockReps.space().arity() + 1;
-      std::size_t k = 0;
-      for (const pb::Tuple& rep : nest.blockReps.points()) {
-        std::vector<pb::Value> fold(arity, 0);
-        fold[0] = static_cast<pb::Value>(k++);
-        task.iterations.emplace_back(fold.data(), arity);
-        task.in.push_back(TaskDep{stmtSlot, linearizeBlockVector(rep)});
+      const std::size_t blocks = task.id - nestFirst;
+      task.iterations.reserve(blocks);
+      task.in.reserve(blocks);
+      for (std::size_t k = 0; k < blocks; ++k) {
+        pb::Tuple fold = pb::Tuple::zeros(arity + 1);
+        fold[0] = static_cast<pb::Value>(k);
+        task.iterations.push_back(std::move(fold));
+        task.in.push_back(prog.tasks[nestFirst + k].out);
+        prog.producers.ids.push_back(
+            static_cast<std::uint32_t>(nestFirst + k));
       }
       task.blockRep = task.iterations.back();
       task.out = combineDep(prog.numStatements, nest.stmtIdx);
+      prog.producers.offsets.push_back(
+          static_cast<std::uint32_t>(prog.producers.ids.size()));
       prog.tasks.push_back(std::move(task));
     }
   }

@@ -12,7 +12,9 @@
 //   * one out-dependency (idx, tag),
 //   * in-dependencies (idx, tag) from the Q_S maps, plus the same-nest
 //     ordering dependency (the funcCount protocol of Fig. 8) expressed as
-//     an in-dependency on the previous block of the same statement.
+//     an in-dependency on the previous block of the same statement;
+// and, for every in-dependency, the id of the task that produces it
+// (TaskProgram::producers), so later layers never resolve a tag.
 
 #include "ast/ast.hpp"
 #include "pipeline/detect.hpp"
@@ -22,6 +24,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -61,11 +64,20 @@ struct Task {
   TaskKind kind = TaskKind::Block;
 };
 
-/// Hashed (idx, tag) -> producing task id index. Built once and shared by
-/// validation, the exports, the simulator and the optimizer so dependency
-/// resolution is O(1) expected instead of a per-lookup ordered-map walk.
+/// Hashed (idx, tag) -> producing task id index. Lowered programs carry
+/// their producers resolved (TaskProgram::producers), so the compile path
+/// builds none; the index serves the exports, the hand-assembled programs
+/// that carry no producer table, and the tests as an oracle.
 using OutOwnerIndex =
     std::unordered_map<std::pair<int, std::int64_t>, std::size_t, PairHash>;
+
+/// Every in-dependency of a program resolved to the id of the task that
+/// produces it: a CSR table parallel to Task::in, where the producer of
+/// tasks[i].in[k] is ids[offsets[i] + k].
+struct ProducerTable {
+  std::vector<std::uint32_t> ids;
+  std::vector<std::uint32_t> offsets; // tasks.size() + 1 entries, or none
+};
 
 /// Cheap census of a task program, used by the exports and benchmark
 /// reports to show pre/post-optimization graph shrinkage.
@@ -100,6 +112,12 @@ struct TaskProgram {
   /// fall back to statement-level reachability over the surviving edges,
   /// which reduction preserves.
   std::vector<std::vector<std::size_t>> stmtReaders;
+  /// The producer of every in-dependency, emitted by lowerToTasks and kept
+  /// in step by opt::optimize, so no later layer resolves tags again.
+  /// Empty for hand-assembled programs. Consumers use it only while
+  /// producersMatch() holds; a program whose tasks were edited after
+  /// lowering is resolved by tag instead (see resolveProducers).
+  ProducerTable producers;
 
   /// Index of the task with the given out-dependency; tasks are unique per
   /// (idx, tag). Linear scan — for bulk resolution build the owner index
@@ -112,9 +130,14 @@ struct TaskProgram {
   /// Task and in-edge counts (for shrinkage reporting).
   ProgramCounts counts() const;
 
+  /// True when `producers` resolves every in-dependency exactly (see
+  /// codegen::producersMatch). O(tasks + edges), no hashing.
+  bool producersMatch() const;
+
   /// Checks the program is well formed: every in-dependency names the out
-  /// tag of an *earlier* task (OpenMP depend semantics), iterations
-  /// partition domains, etc. Throws on violation.
+  /// tag of an *earlier* task (OpenMP depend semantics), out tags are
+  /// unique, iterations partition domains, etc. Throws on violation.
+  /// Hash-free when the program's producer table matches its tasks.
   void validate(const scop::Scop& scop) const;
 
   std::string toString() const;
@@ -130,6 +153,18 @@ struct TaskProgram {
 std::vector<std::vector<std::size_t>>
 statementReadership(const TaskProgram& program);
 
+/// True when `ids`/`offsets` resolve every in-dependency of `program`:
+/// one entry per in-dependency, each naming an earlier task whose out
+/// dependency equals it. O(tasks + edges), no hashing.
+bool producersMatch(const TaskProgram& program,
+                    std::span<const std::uint32_t> ids,
+                    std::span<const std::uint32_t> offsets);
+
+/// The producer table of `program`: a copy of its own when it matches,
+/// otherwise resolved by tag through the hashed owner index. Throws when
+/// an in-dependency names no task or a later one.
+ProducerTable resolveProducers(const TaskProgram& program);
+
 /// The paper's vector-to-integer linearisation. Every coordinate must be
 /// in [0, kLinearStride).
 inline constexpr std::int64_t kLinearStride = std::int64_t(1) << 20;
@@ -140,7 +175,7 @@ std::int64_t linearizeBlockVector(const pb::Tuple& blockRep);
 /// block tags (which use idx == stmtIdx).
 TaskDep combineDep(std::size_t numStatements, std::size_t stmtIdx);
 
-/// Lowers the AST to the task program.
+/// Lowers the AST to the task program, with its producer table.
 TaskProgram lowerToTasks(const scop::Scop& scop, const ast::Ast& ast);
 
 /// Convenience: full front-to-back pipeline compilation

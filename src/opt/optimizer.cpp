@@ -10,8 +10,8 @@ namespace pipoly::opt {
 
 namespace {
 
+using codegen::ProducerTable;
 using codegen::Task;
-using codegen::TaskDep;
 using codegen::TaskKind;
 using codegen::TaskProgram;
 
@@ -22,39 +22,10 @@ std::size_t countEdges(const TaskProgram& program) {
   return edges;
 }
 
-/// Every in-dependency of every task resolved to its producing task id,
-/// flattened per task (offsets like SlotTable) and parallel to each
-/// task's `in`. optimize() resolves once and shares the lists between
-/// the passes; reduction compacts them to the edges it keeps.
-struct PredLists {
-  std::vector<std::uint32_t> preds;
-  std::vector<std::uint32_t> offsets;
-};
-
-/// O(tasks + edges) through the hashed owner index.
-PredLists resolvePredecessors(const TaskProgram& program) {
-  const codegen::OutOwnerIndex owner = program.buildOutOwnerIndex();
-  PredLists lists;
-  lists.offsets.reserve(program.tasks.size() + 1);
-  lists.offsets.push_back(0);
-  for (const Task& t : program.tasks) {
-    for (const TaskDep& dep : t.in) {
-      auto it = owner.find({dep.idx, dep.tag});
-      PIPOLY_CHECK_MSG(it != owner.end(),
-                       "optimizer: in-dependency with no producing task");
-      PIPOLY_CHECK_MSG(it->second < t.id,
-                       "optimizer: in-dependency on a later task");
-      lists.preds.push_back(static_cast<std::uint32_t>(it->second));
-    }
-    lists.offsets.push_back(static_cast<std::uint32_t>(lists.preds.size()));
-  }
-  return lists;
-}
-
-std::vector<std::uint32_t> countDependents(const PredLists& lists,
+std::vector<std::uint32_t> countDependents(const ProducerTable& lists,
                                            std::size_t numTasks) {
   std::vector<std::uint32_t> dependents(numTasks, 0);
-  for (std::uint32_t p : lists.preds)
+  for (std::uint32_t p : lists.ids)
     ++dependents[p];
   return dependents;
 }
@@ -92,7 +63,7 @@ std::vector<std::uint32_t> countDependents(const PredLists& lists,
 /// Cost: O((V + E) * W) time and O(V * W) label memory, where W is the
 /// number of chains in a label — the statement count on chain-ordered
 /// programs.
-std::size_t transitiveReduce(TaskProgram& program, PredLists& lists) {
+std::size_t transitiveReduce(TaskProgram& program, ProducerTable& lists) {
   constexpr std::uint32_t kNone = UINT32_MAX;
   const std::size_t n = program.tasks.size();
   const std::vector<std::uint32_t> dependents = countDependents(lists, n);
@@ -128,7 +99,7 @@ std::size_t transitiveReduce(TaskProgram& program, PredLists& lists) {
     // tail, the selfOrdering one first; otherwise start a new chain.
     std::uint32_t chain = kNone;
     for (std::uint32_t k = begin; k < end; ++k) {
-      const std::uint32_t p = lists.preds[k];
+      const std::uint32_t p = lists.ids[k];
       if (chainTail[chainOf[p]] != p)
         continue;
       const bool self = t.in[k - begin].selfOrdering;
@@ -150,7 +121,7 @@ std::size_t transitiveReduce(TaskProgram& program, PredLists& lists) {
 
     // Union of the predecessors' labels: their counted strict ancestors.
     for (std::uint32_t k = begin; k < end; ++k) {
-      const std::uint32_t p = lists.preds[k];
+      const std::uint32_t p = lists.ids[k];
       for (std::uint32_t e = labelOffsets[p]; e < labelOffsets[p + 1]; ++e)
         raise(labels[e].chain, labels[e].pos);
     }
@@ -159,7 +130,7 @@ std::size_t transitiveReduce(TaskProgram& program, PredLists& lists) {
     // highest counted ancestor on its chain.
     std::size_t kept = 0;
     for (std::uint32_t k = begin; k < end; ++k) {
-      const std::uint32_t p = lists.preds[k];
+      const std::uint32_t p = lists.ids[k];
       const std::uint32_t top = best[chainOf[p]];
       const bool implied = top != kNone && top >= posOf[p];
       if (implied &&
@@ -168,7 +139,7 @@ std::size_t transitiveReduce(TaskProgram& program, PredLists& lists) {
         continue;
       }
       t.in[kept++] = t.in[k - begin];
-      lists.preds[write++] = p;
+      lists.ids[write++] = p;
     }
     t.in.resize(kept);
     begin = end;
@@ -178,7 +149,7 @@ std::size_t transitiveReduce(TaskProgram& program, PredLists& lists) {
     // predecessor is already in the union: it is an ancestor of a kept one.
     for (std::uint32_t k = write - static_cast<std::uint32_t>(kept);
          k < write; ++k) {
-      const std::uint32_t p = lists.preds[k];
+      const std::uint32_t p = lists.ids[k];
       if (dependents[p] >= 2)
         raise(chainOf[p], posOf[p]);
     }
@@ -189,7 +160,7 @@ std::size_t transitiveReduce(TaskProgram& program, PredLists& lists) {
     touched.clear();
     labelOffsets.push_back(static_cast<std::uint32_t>(labels.size()));
   }
-  lists.preds.resize(write);
+  lists.ids.resize(write);
   return removed;
 }
 
@@ -202,7 +173,13 @@ std::size_t transitiveReduce(TaskProgram& program, PredLists& lists) {
 ///   * `next`'s only in-dependency is on that tail, and
 ///   * the concatenated iteration list stays lexicographically sorted
 ///     (validate() and the sequential-per-task execution order need it).
-std::size_t fuseChains(TaskProgram& program, const PredLists& lists,
+///
+/// The fused task keeps the in-dependencies of its first member, so its
+/// producers are that member's, renamed old -> new id. Only the tail of a
+/// run can be a producer outside it (every other member's one dependent is
+/// the next member), and the tail's id maps to the fused task, whose out
+/// dependency is the tail's.
+std::size_t fuseChains(TaskProgram& program, ProducerTable& lists,
                        std::size_t width) {
   const std::size_t n = program.tasks.size();
   if (n < 2 || width < 2)
@@ -211,6 +188,11 @@ std::size_t fuseChains(TaskProgram& program, const PredLists& lists,
 
   std::vector<Task> fused;
   fused.reserve(n);
+  std::vector<std::uint32_t> newId(n);
+  ProducerTable remapped;
+  remapped.ids.reserve(lists.ids.size());
+  remapped.offsets.reserve(n + 1);
+  remapped.offsets.push_back(0);
   std::size_t eliminated = 0;
   for (std::size_t i = 0; i < n;) {
     Task merged = std::move(program.tasks[i]);
@@ -237,10 +219,16 @@ std::size_t fuseChains(TaskProgram& program, const PredLists& lists,
       ++eliminated;
     }
     merged.id = fused.size();
+    for (std::size_t k = i; k <= tail; ++k)
+      newId[k] = static_cast<std::uint32_t>(merged.id);
+    for (std::uint32_t k = lists.offsets[i]; k < lists.offsets[i + 1]; ++k)
+      remapped.ids.push_back(newId[lists.ids[k]]);
+    remapped.offsets.push_back(static_cast<std::uint32_t>(remapped.ids.size()));
     fused.push_back(std::move(merged));
     i = tail + 1;
   }
   program.tasks = std::move(fused);
+  lists = std::move(remapped);
   return eliminated;
 }
 
@@ -276,7 +264,12 @@ OptimizeStats optimize(codegen::TaskProgram& program,
   stats.edgesBefore = stats.edgesAfter = countEdges(program);
   if (!options.enabled)
     return stats;
-  PredLists lists = resolvePredecessors(program);
+  // The passes take the program's producer table over: reduction compacts
+  // it to the edges it keeps, fusion renames it, and it goes back to the
+  // program in step with the optimized tasks.
+  ProducerTable lists = program.producersMatch()
+                            ? std::move(program.producers)
+                            : codegen::resolveProducers(program);
   if (options.transitiveReduction) {
     trace::Span pass("opt.transitive_reduction");
     stats.edgesRemoved = transitiveReduce(program, lists);
@@ -285,6 +278,7 @@ OptimizeStats optimize(codegen::TaskProgram& program,
     trace::Span pass("opt.chain_fusion");
     stats.tasksFused = fuseChains(program, lists, options.fusionWidth);
   }
+  program.producers = std::move(lists);
   stats.tasksAfter = program.tasks.size();
   stats.edgesAfter = countEdges(program);
   trace::counter("opt.edges_removed",
@@ -294,31 +288,17 @@ OptimizeStats optimize(codegen::TaskProgram& program,
 }
 
 bool SlotTable::compatibleWith(const codegen::TaskProgram& program) const {
-  const std::size_t n = program.tasks.size();
-  if (numSlots != n || inOffsets.size() != n + 1)
-    return false;
-  if (!inOffsets.empty() &&
-      (inOffsets.front() != 0 || inOffsets.back() != inSlots.size()))
-    return false;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (inOffsets[i] > inOffsets[i + 1])
-      return false;
-    if (inCount(i) != program.tasks[i].in.size())
-      return false;
-    for (const std::uint32_t* s = inBegin(i); s != inEnd(i); ++s)
-      if (*s >= i)
-        return false;
-  }
-  return true;
+  return numSlots == program.tasks.size() &&
+         codegen::producersMatch(program, inSlots, inOffsets);
 }
 
 SlotTable buildSlotTable(const codegen::TaskProgram& program) {
   trace::Span span("opt.slot_table");
-  PredLists lists = resolvePredecessors(program);
+  codegen::ProducerTable producers = codegen::resolveProducers(program);
   SlotTable table;
   table.numSlots = static_cast<std::uint32_t>(program.tasks.size());
-  table.inSlots = std::move(lists.preds);
-  table.inOffsets = std::move(lists.offsets);
+  table.inSlots = std::move(producers.ids);
+  table.inOffsets = std::move(producers.offsets);
   return table;
 }
 

@@ -34,6 +34,10 @@
 //      std::map<std::pair<int, int64>> lookups; the simulator does the
 //      same through the precomputed producer lists.
 //
+// No pass resolves a tag. lowerToTasks emits the producer of every
+// in-dependency (TaskProgram::producers); reduction compacts that table,
+// fusion renames it old -> new id, and the result is the SlotTable.
+//
 // Legality argument, in one line: (1) preserves the happens-before
 // closure by construction, (2) only merges pairs already totally ordered
 // with no external observer of the intermediate state, (3) renames
@@ -101,16 +105,19 @@ struct SlotTable {
     return inOffsets[id + 1] - inOffsets[id];
   }
 
-  /// True when this table could have been built from `program`: one slot
-  /// per task, per-task dependency counts matching, and every interned
-  /// producer slot naming an *earlier* task. O(tasks + edges). Lets a
-  /// table built once be reused across executions (the slot-table
-  /// executeTaskProgram overload and CompiledPipeline both check this
-  /// instead of rebuilding the table per run).
+  /// True when this table resolves `program` exactly: one slot per task,
+  /// per-task dependency counts matching, and every interned producer
+  /// slot naming an *earlier* task whose out dependency is the matching
+  /// in-dependency (codegen::producersMatch). O(tasks + edges), no
+  /// hashing. Lets a table built once be reused across executions (the
+  /// slot-table executeTaskProgram overload and CompiledPipeline both
+  /// check this instead of rebuilding the table per run).
   bool compatibleWith(const codegen::TaskProgram& program) const;
 };
 
-/// Interns every (idx, tag) pair of the program. O(tasks + edges).
+/// Interns every (idx, tag) pair of the program: a copy of the program's
+/// own producer table when it matches, otherwise resolved through the
+/// hashed owner index (hand-assembled programs). O(tasks + edges).
 SlotTable buildSlotTable(const codegen::TaskProgram& program);
 
 } // namespace pipoly::opt

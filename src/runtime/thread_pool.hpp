@@ -128,8 +128,17 @@ public:
 
   /// Adds a node depending on the given earlier nodes (every id must come
   /// from a previous addNode — creation order is the topological order).
-  /// Must be called before freeze().
+  /// The dependencies go straight into the flat predecessor arrays. Must
+  /// be called before freeze().
   NodeId addNode(std::span<const NodeId> deps);
+
+  /// Sizes the predecessor arrays for `nodes` more nodes with `edges` more
+  /// dependencies in total, so the addNode calls that follow do not
+  /// reallocate.
+  void reserve(std::size_t nodes, std::size_t edges) {
+    predOffsets_.reserve(predOffsets_.size() + nodes);
+    preds_.reserve(preds_.size() + edges);
+  }
 
   /// Declares a batch group and returns its id: in streaming runs, batch
   /// b+1 of any member may start only after every member finished batch b
@@ -155,9 +164,13 @@ public:
   void freeze();
 
   bool frozen() const { return frozen_; }
-  std::size_t size() const { return predOffsets_.empty() ? buildPreds_.size()
-                                                         : predOffsets_.size() - 1; }
+  std::size_t size() const { return predOffsets_.size() - 1; }
   std::size_t numEdges() const { return preds_.size(); }
+  /// The dependencies node `v` was added with, in order.
+  std::span<const NodeId> predecessors(NodeId v) const {
+    return {preds_.data() + predOffsets_[v],
+            preds_.data() + predOffsets_[v + 1]};
+  }
   std::size_t numGroups() const {
     return groupOffsets_.empty() ? 0 : groupOffsets_.size() - 1;
   }
@@ -176,14 +189,14 @@ private:
   };
 
   // Build-time state (cleared by freeze()).
-  std::vector<std::vector<NodeId>> buildPreds_;
   std::vector<std::vector<NodeId>> buildGroups_;
   // Per reader group: the writer groups its completion releases.
   std::vector<std::vector<std::uint32_t>> buildGroupEdges_;
 
-  // Frozen CSR adjacency + ready-count templates.
+  // CSR adjacency (predecessors filled by addNode, successors by freeze)
+  // + ready-count templates.
   std::vector<NodeId> preds_, succs_;
-  std::vector<std::uint32_t> predOffsets_, succOffsets_;
+  std::vector<std::uint32_t> predOffsets_{0}, succOffsets_;
   std::vector<std::uint32_t> indegFirst_;  // batch 0: in-batch preds only
   std::vector<std::uint32_t> indegSteady_; // batch >= 1: preds+succs+self+group
   std::vector<NodeId> roots_;              // indegFirst == 0

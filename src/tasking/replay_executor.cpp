@@ -88,25 +88,17 @@ void CompiledPipeline::compile(const opt::SlotTable* slots) {
                     : std::max(1u, std::thread::hardware_concurrency());
 
   const std::size_t n = program_->tasks.size();
-  // Resolve every in-dependency to its producer exactly once. With a
-  // caller-provided slot table the producers are already interned (slot
-  // id == producing task id); otherwise one hashed owner-index pass.
+  // Every in-dependency's producer, interned once: the caller's slot
+  // table (slot id == producing task id) or opt::buildSlotTable, which
+  // copies the program's own producer table.
   opt::SlotTable built;
   if (slots == nullptr) {
     built = opt::buildSlotTable(*program_);
     slots = &built;
   }
-  inOffsets_.assign(slots->inOffsets.begin(), slots->inOffsets.end());
-  flatInSlots_.reserve(slots->inSlots.size());
-  for (std::uint32_t producer : slots->inSlots)
-    flatInSlots_.push_back(static_cast<std::int64_t>(producer));
-  flatInIdx_.assign(flatInSlots_.size(), 0);
-
-  std::vector<rt::ReplayGraph::NodeId> preds;
-  for (std::size_t i = 0; i < n; ++i) {
-    preds.assign(slots->inBegin(i), slots->inEnd(i));
-    graph_.addNode(preds);
-  }
+  graph_.reserve(n, slots->inSlots.size());
+  for (std::size_t i = 0; i < n; ++i)
+    graph_.addNode({slots->inBegin(i), slots->inEnd(i)});
   // One batch group per statement: forward reads inside a statement's
   // iteration space (self neighbourhoods) make later blocks batch-b
   // writers of data earlier blocks read in batch b+1 — a backward
@@ -143,12 +135,11 @@ void CompiledPipeline::compile(const opt::SlotTable* slots) {
   // Linear chain: task 0 is free and task i depends exactly on i - 1.
   linear_ = true;
   for (std::size_t i = 0; i < n && linear_; ++i) {
-    const std::size_t k = inOffsets_[i + 1] - inOffsets_[i];
+    const std::size_t k = slots->inCount(i);
     if (i == 0)
       linear_ = k == 0;
     else
-      linear_ = k == 1 &&
-                flatInSlots_[inOffsets_[i]] == static_cast<std::int64_t>(i - 1);
+      linear_ = k == 1 && *slots->inBegin(i) == i - 1;
   }
 
   if (options_.channels) {
@@ -223,8 +214,7 @@ void CompiledPipeline::replayBatches(std::size_t numBatches,
 std::size_t CompiledPipeline::retainedBytes() const {
   std::size_t bytes = graph_.storageBytes();
   bytes += flatInSlots_.capacity() * sizeof(std::int64_t) +
-           flatInIdx_.capacity() * sizeof(int) +
-           inOffsets_.capacity() * sizeof(std::uint32_t);
+           flatInIdx_.capacity() * sizeof(int);
   if (channels_ != nullptr)
     bytes += channels_->retainedBytes();
   return bytes;
@@ -236,18 +226,31 @@ void CompiledPipeline::replayThrough(TaskingLayer& layer,
   trace::Span span("replay.backend");
   ++stats_.backendReplays;
   const std::vector<codegen::Task>& tasks = program_->tasks;
+  // The createTask form of the graph's predecessors (int64 slots, all in
+  // depend index 0), built by the first call: replay() never needs it.
+  if (flatInSlots_.size() != graph_.numEdges()) {
+    flatInSlots_.reserve(graph_.numEdges());
+    for (std::size_t i = 0; i < tasks.size(); ++i)
+      for (rt::ReplayGraph::NodeId p :
+           graph_.predecessors(static_cast<rt::ReplayGraph::NodeId>(i)))
+        flatInSlots_.push_back(static_cast<std::int64_t>(p));
+    flatInIdx_.assign(flatInSlots_.size(), 0);
+  }
   layer.run([&] {
     layer.reserveDependencySlots(tasks.size());
+    std::size_t offset = 0;
     for (std::size_t i = 0; i < tasks.size(); ++i) {
       detail::TaskLaunch launch{&tasks[i], &exec};
-      const std::size_t nIn = inOffsets_[i + 1] - inOffsets_[i];
+      const std::size_t nIn =
+          graph_.predecessors(static_cast<rt::ReplayGraph::NodeId>(i)).size();
       layer.createTask(&detail::runBlock, &launch, sizeof(detail::TaskLaunch),
                        static_cast<std::int64_t>(i), 0,
-                       nIn != 0 ? flatInSlots_.data() + inOffsets_[i]
+                       nIn != 0 ? flatInSlots_.data() + offset
                                 : detail::kEmptyDepend,
-                       nIn != 0 ? flatInIdx_.data() + inOffsets_[i]
+                       nIn != 0 ? flatInIdx_.data() + offset
                                 : detail::kEmptyIdx,
                        nIn);
+      offset += nIn;
     }
   });
 }

@@ -100,8 +100,8 @@ public:
       Options options = {});
 
   /// Same, reusing a prebuilt slot table (opt::buildSlotTable of this
-  /// very program) instead of re-resolving producers through the hashed
-  /// owner index. Throws when the table does not match the program.
+  /// very program) instead of building it again. Throws when the table
+  /// does not match the program (SlotTable::compatibleWith).
   CompiledPipeline(std::shared_ptr<const codegen::TaskProgram> program,
                    const opt::SlotTable& slots, Options options = {});
 
@@ -125,9 +125,9 @@ public:
   bool channelRoute() const { return channels_ != nullptr; }
 
   /// Approximate bytes kept allocated between replays: the frozen graph
-  /// (ready counters + CSR adjacency), the pre-interned slot arrays, and
-  /// — on the channel route — the per-edge rings and stage tables. Same
-  /// diagnostic contract as TaskingLayer::retainedBytes().
+  /// (ready counters + CSR adjacency), replayThrough's slot arrays once
+  /// it ran, and — on the channel route — the per-edge rings and stage
+  /// tables. Same diagnostic contract as TaskingLayer::retainedBytes().
   std::size_t retainedBytes() const;
 
   /// Re-executes the compiled program once. Blocks until every task
@@ -166,11 +166,11 @@ private:
   unsigned numThreads_ = 1;
   bool linear_ = false;
   rt::ReplayGraph graph_;
-  // Frozen dense slot arrays for replayThrough: per task, the producer
-  // ids of its in-dependencies (already in createTask's int64 form).
+  // replayThrough's dense slot arrays, built by its first call: the
+  // graph's predecessors in createTask's int64 form (offsets are the
+  // graph's), and their all-zero depend indices.
   std::vector<std::int64_t> flatInSlots_;
   std::vector<int> flatInIdx_;
-  std::vector<std::uint32_t> inOffsets_;
   std::unique_ptr<rt::DependencyThreadPool> pool_; // lazily created
   std::unique_ptr<ChannelPipeline> channels_;      // options.channels route
   std::atomic<bool> replaying_{false};

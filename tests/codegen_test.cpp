@@ -1,15 +1,23 @@
 #include "codegen/task_program.hpp"
 
+#include "kernels/matmul.hpp"
+#include "kernels/reduction_kernels.hpp"
+#include "kernels/suite.hpp"
+#include "opt/optimizer.hpp"
 #include "pipeline/detect.hpp"
 #include "schedule/build.hpp"
 #include "scop/dependences.hpp"
 #include "support/assert.hpp"
+#include "support/rng.hpp"
 #include "testing/fixtures.hpp"
+#include "testing/random_scop.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 
 namespace pipoly::codegen {
 namespace {
@@ -163,6 +171,192 @@ TEST(TaskProgramSemanticsTest, Listing3FlowCoverage) {
 
 TEST(TaskProgramSemanticsTest, Chain3FlowCoverage) {
   checkTransitiveCoverage(testing::chain(3, 7));
+}
+
+// --- The lowering's producer table ---------------------------------------
+
+/// The producer table a program carries must be exactly the by-tag
+/// resolution: opt::buildSlotTable on a copy without a table takes the
+/// hashed owner-index path.
+void expectProducersResolved(const TaskProgram& prog) {
+  ASSERT_TRUE(prog.producersMatch());
+  TaskProgram bare = prog;
+  bare.producers = {};
+  ASSERT_FALSE(bare.producersMatch());
+  const opt::SlotTable hashed = opt::buildSlotTable(bare);
+  EXPECT_EQ(prog.producers.ids, hashed.inSlots);
+  EXPECT_EQ(prog.producers.offsets, hashed.inOffsets);
+}
+
+/// Both ordering modes; the optimizer's compacted, renamed table too.
+void expectLoweringResolves(const scop::Scop& scop) {
+  for (const bool relax : {false, true}) {
+    SCOPED_TRACE(relax ? "relaxed" : "chain-ordered");
+    pipeline::DetectOptions options;
+    options.relaxSameNestOrdering = relax;
+    TaskProgram prog = compilePipeline(scop, options);
+    expectProducersResolved(prog);
+    opt::optimize(prog);
+    expectProducersResolved(prog);
+    EXPECT_NO_THROW(prog.validate(scop));
+  }
+}
+
+TEST(TaskProgramProducerTest, Table9MatchesHashedResolution) {
+  for (const kernels::ProgramSpec& spec : kernels::table9Programs())
+    for (const pb::Value n : {3, 16, 64}) {
+      SCOPED_TRACE(spec.name + " N=" + std::to_string(n));
+      expectLoweringResolves(testing::buildAtLeast(spec, n));
+    }
+}
+
+TEST(TaskProgramProducerTest, MatmulChainsMatchHashedResolution) {
+  for (const kernels::MatmulVariant variant :
+       {kernels::MatmulVariant::NMM, kernels::MatmulVariant::GNMMT}) {
+    SCOPED_TRACE(static_cast<int>(variant));
+    expectLoweringResolves(
+        kernels::matmulChain(variant, /*chainLength=*/3, /*n=*/8));
+  }
+}
+
+TEST(TaskProgramProducerTest, ReductionKernelsMatchHashedResolution) {
+  for (const kernels::ReductionKernelSpec& spec : kernels::reductionKernels()) {
+    SCOPED_TRACE(spec.name);
+    const scop::Scop scop = spec.build(16);
+    const TaskProgram prog = compilePipeline(scop);
+    EXPECT_TRUE(std::any_of(prog.tasks.begin(), prog.tasks.end(),
+                            [](const Task& t) {
+                              return t.kind == TaskKind::ReductionCombine;
+                            }));
+    expectLoweringResolves(scop);
+  }
+}
+
+TEST(TaskProgramProducerTest, RandomScopsMatchHashedResolution) {
+  SplitMix64 rng(29);
+  for (std::uint64_t iter = 0; iter < 40; ++iter) {
+    SCOPED_TRACE("program " + std::to_string(iter));
+    expectLoweringResolves(testing::randomScop(rng, iter));
+  }
+}
+
+TEST(TaskProgramProducerTest, EditedProgramFallsBackToTags) {
+  // An edit after lowering leaves the table behind; every consumer then
+  // resolves by tag, so the edit is honoured rather than the stale table.
+  TaskProgram prog = compilePipeline(testing::listing3(12));
+  Task& last = prog.tasks.back();
+  last.in.push_back(prog.tasks.front().out);
+  EXPECT_FALSE(prog.producersMatch());
+  const ProducerTable resolved = resolveProducers(prog);
+  EXPECT_EQ(resolved.offsets.back(), resolved.ids.size());
+  EXPECT_EQ(resolved.ids.back(), 0u);
+  EXPECT_EQ(opt::buildSlotTable(prog).inSlots, resolved.ids);
+}
+
+// --- validate(): one sweep, the same verdicts -----------------------------
+
+void expectRejectedWith(const TaskProgram& prog, const scop::Scop& scop,
+                        const std::string& message) {
+  try {
+    prog.validate(scop);
+    ADD_FAILURE() << "accepted; expected: " << message;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(TaskProgramValidateTest, ReductionProgramsPass) {
+  for (const kernels::ReductionKernelSpec& spec : kernels::reductionKernels())
+    for (const pb::Value n : {8, 16}) {
+      const scop::Scop scop = spec.build(n);
+      EXPECT_NO_THROW(compilePipeline(scop).validate(scop)) << spec.name;
+    }
+}
+
+TEST(TaskProgramValidateTest, PartitionChecksBlocksBesideCombine) {
+  const scop::Scop scop = kernels::dotProductChain(16);
+  const TaskProgram pristine = compilePipeline(scop);
+  // A partial block that executes an iteration of its neighbour as well:
+  // the union still covers the domain, but not as a partition.
+  TaskProgram doubled = pristine;
+  for (std::size_t k = 1; k < doubled.tasks.size(); ++k) {
+    Task& t = doubled.tasks[k];
+    const Task& before = doubled.tasks[k - 1];
+    if (t.kind == TaskKind::Block && before.kind == TaskKind::Block &&
+        before.stmtIdx == t.stmtIdx) {
+      t.iterations.insert(t.iterations.begin(), before.iterations.back());
+      break;
+    }
+  }
+  expectRejectedWith(doubled, scop,
+                     "task iterations must partition the statement domain");
+  // The neighbour's last iteration in place of a block's own first one
+  // (coarser blocks, so a block has several): the iteration count still
+  // matches the domain, with one point twice and one never.
+  pipeline::DetectOptions coarse;
+  coarse.coarsening = 2;
+  TaskProgram swapped = compilePipeline(scop, coarse);
+  bool edited = false;
+  for (std::size_t k = 1; k < swapped.tasks.size() && !edited; ++k) {
+    Task& t = swapped.tasks[k];
+    const Task& before = swapped.tasks[k - 1];
+    if (t.kind == TaskKind::Block && before.kind == TaskKind::Block &&
+        before.stmtIdx == t.stmtIdx && t.iterations.size() > 1) {
+      t.iterations.front() = before.iterations.back();
+      edited = true;
+    }
+  }
+  ASSERT_TRUE(edited);
+  expectRejectedWith(swapped, scop,
+                     "task iterations must partition the statement domain");
+  // An iteration outside the domain.
+  TaskProgram outside = pristine;
+  Task& first = outside.tasks.front();
+  pb::Tuple stray = first.iterations.front();
+  stray[0] = -1;
+  first.iterations.insert(first.iterations.begin(), stray);
+  expectRejectedWith(outside, scop,
+                     "task iterations must partition the statement domain");
+}
+
+TEST(TaskProgramValidateTest, StaleTableKeepsTheTagVerdicts) {
+  // Edits leave the lowering's table behind; validate names the same
+  // violation the by-tag resolution finds.
+  const scop::Scop scop = kernels::dotProductChain(16);
+  const TaskProgram pristine = compilePipeline(scop);
+  TaskProgram dangling = pristine;
+  dangling.tasks.back().in.push_back(TaskDep{0, 999999});
+  expectRejectedWith(dangling, scop, "in-dependency with no producing task");
+  TaskProgram forward = pristine;
+  forward.tasks.front().in.push_back(forward.tasks.back().out);
+  expectRejectedWith(forward, scop, "in-dependency on a later task");
+}
+
+TEST(TaskProgramValidateTest, InterleavedOutTagsAreUniqueOrNot) {
+  // Hand-assembled out tags that interleave across runs: unique ones pass
+  // the out-tag check, a repeated one does not.
+  const scop::Scop scop = testing::listing1(12);
+  TaskProgram prog;
+  prog.numStatements = scop.numStatements();
+  for (const std::int64_t tag : {0, 2, 1, 3}) {
+    Task t;
+    t.id = prog.tasks.size();
+    t.stmtIdx = 0;
+    t.out = TaskDep{0, tag};
+    prog.tasks.push_back(std::move(t));
+  }
+  // The tags are fine; validation then stops at the empty iteration list.
+  try {
+    prog.validate(scop);
+    ADD_FAILURE() << "a task without iterations was accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()).find("duplicate out-dependency tag"),
+              std::string::npos)
+        << e.what();
+  }
+  prog.tasks[3].out.tag = 2;
+  expectRejectedWith(prog, scop, "duplicate out-dependency tag");
 }
 
 } // namespace

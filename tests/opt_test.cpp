@@ -14,6 +14,7 @@
 #include "scop/builder.hpp"
 #include "support/rng.hpp"
 #include "tasking/executor.hpp"
+#include "tasking/replay_executor.hpp"
 #include "tasking/tasking.hpp"
 #include "testing/fixtures.hpp"
 #include "testing/interpreted_kernel.hpp"
@@ -23,6 +24,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -456,6 +458,43 @@ TEST(OptTest, SlotTableMatchesProducers) {
     for (const codegen::TaskDep& d : t.in)
       EXPECT_EQ(*s++, owner.at({d.idx, d.tag}));
   }
+}
+
+TEST(OptTest, SlotTableNamingWrongProducersIsRejected) {
+  scop::Scop scop = kernels::buildProgram(kernels::programByName("P4"), 8);
+  auto prog = std::make_shared<codegen::TaskProgram>(
+      codegen::compilePipeline(scop));
+  opt::optimize(*prog);
+  opt::SlotTable slots = opt::buildSlotTable(*prog);
+  ASSERT_TRUE(slots.compatibleWith(*prog));
+  // Swap the two producers of a task: both stay earlier tasks and every
+  // count still matches, so only the producers' out dependencies tell.
+  bool swapped = false;
+  for (std::size_t i = 0; i < prog->tasks.size() && !swapped; ++i) {
+    std::uint32_t* in = slots.inSlots.data() + slots.inOffsets[i];
+    if (slots.inCount(i) >= 2 && in[0] != in[1]) {
+      std::swap(in[0], in[1]);
+      swapped = true;
+    }
+  }
+  ASSERT_TRUE(swapped);
+  EXPECT_FALSE(slots.compatibleWith(*prog));
+  EXPECT_THROW(tasking::CompiledPipeline(
+                   std::shared_ptr<const codegen::TaskProgram>(prog), slots),
+               Error);
+
+  // An older block of the same statement in place of the named one: the
+  // slot index still matches, only the tag tells.
+  opt::SlotTable older = opt::buildSlotTable(*prog);
+  bool replaced = false;
+  for (std::uint32_t& slot : older.inSlots)
+    if (slot > 0 && prog->tasks[slot - 1].out.idx == prog->tasks[slot].out.idx) {
+      --slot;
+      replaced = true;
+      break;
+    }
+  ASSERT_TRUE(replaced);
+  EXPECT_FALSE(older.compatibleWith(*prog));
 }
 
 TEST(OptTest, SelfOrderingChainSurvives) {

@@ -22,6 +22,18 @@ TaskProgram freshProgram() {
 
 scop::Scop fixtureScop() { return testing::listing1(12); }
 
+/// validate() must throw, and its message must name the violation.
+void expectRejected(const TaskProgram& prog, const scop::Scop& scop,
+                    const std::string& message) {
+  try {
+    prog.validate(scop);
+    ADD_FAILURE() << "accepted; expected: " << message;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ValidateTest, PristineProgramPasses) {
   EXPECT_NO_THROW(freshProgram().validate(fixtureScop()));
 }
@@ -37,13 +49,14 @@ TEST(ValidateTest, RejectsDroppedSelfOrderingDependency) {
       break;
     }
   }
-  EXPECT_THROW(prog.validate(fixtureScop()), Error);
+  expectRejected(prog, fixtureScop(),
+                 "missing same-statement ordering dependency");
 }
 
 TEST(ValidateTest, RejectsDanglingInDependency) {
   TaskProgram prog = freshProgram();
   prog.tasks.back().in.push_back(TaskDep{0, 999999});
-  EXPECT_THROW(prog.validate(fixtureScop()), Error);
+  expectRejected(prog, fixtureScop(), "in-dependency with no producing task");
 }
 
 TEST(ValidateTest, RejectsForwardDependency) {
@@ -51,13 +64,14 @@ TEST(ValidateTest, RejectsForwardDependency) {
   // Make an early task depend on the last task's out slot.
   const Task& last = prog.tasks.back();
   prog.tasks.front().in.push_back(TaskDep{last.out.idx, last.out.tag});
-  EXPECT_THROW(prog.validate(fixtureScop()), Error);
+  expectRejected(prog, fixtureScop(),
+                 "in-dependency on a later task (creation order)");
 }
 
 TEST(ValidateTest, RejectsDuplicateOutTags) {
   TaskProgram prog = freshProgram();
   prog.tasks[1].out = prog.tasks[0].out;
-  EXPECT_THROW(prog.validate(fixtureScop()), Error);
+  expectRejected(prog, fixtureScop(), "duplicate out-dependency tag");
 }
 
 TEST(ValidateTest, RejectsLostIterations) {
@@ -68,7 +82,8 @@ TEST(ValidateTest, RejectsLostIterations) {
       break;
     }
   }
-  EXPECT_THROW(prog.validate(fixtureScop()), Error);
+  expectRejected(prog, fixtureScop(),
+                 "task iterations must partition the statement domain");
 }
 
 TEST(ValidateTest, RejectsDuplicatedIterations) {
@@ -86,7 +101,8 @@ TEST(ValidateTest, RejectsDuplicatedIterations) {
       break;
     }
   }
-  EXPECT_THROW(prog.validate(fixtureScop()), Error);
+  expectRejected(prog, fixtureScop(),
+                 "block representative must be the last iteration");
 }
 
 TEST(ValidateTest, RejectsMisorderedIterationsWithinTask) {
@@ -97,7 +113,8 @@ TEST(ValidateTest, RejectsMisorderedIterationsWithinTask) {
       break;
     }
   }
-  EXPECT_THROW(prog.validate(fixtureScop()), Error);
+  expectRejected(prog, fixtureScop(),
+                 "task iterations must be in lexicographic order");
 }
 
 TEST(ValidateTest, RejectsWrongBlockRepresentative) {
@@ -108,19 +125,22 @@ TEST(ValidateTest, RejectsWrongBlockRepresentative) {
       break;
     }
   }
-  EXPECT_THROW(prog.validate(fixtureScop()), Error);
+  expectRejected(prog, fixtureScop(),
+                 "block representative must be the last iteration");
 }
 
 TEST(ValidateTest, RejectsWrongScop) {
   TaskProgram prog = freshProgram();
-  EXPECT_THROW(prog.validate(testing::listing1(16)), Error);
-  EXPECT_THROW(prog.validate(testing::listing3(12)), Error);
+  expectRejected(prog, testing::listing1(16),
+                 "task iterations must partition the statement domain");
+  expectRejected(prog, testing::listing3(12),
+                 "numStatements == scop.numStatements()");
 }
 
 TEST(ValidateTest, RejectsRenumberedIds) {
   TaskProgram prog = freshProgram();
   prog.tasks[2].id = 99;
-  EXPECT_THROW(prog.validate(fixtureScop()), Error);
+  expectRejected(prog, fixtureScop(), "tasks[i].id == i");
 }
 
 // --- Reduction combine invariants ----------------------------------------
@@ -134,17 +154,6 @@ std::size_t combineIndex(const TaskProgram& prog) {
       return t.id;
   ADD_FAILURE() << "no combine task";
   return 0;
-}
-
-void expectRejected(const TaskProgram& prog, const scop::Scop& scop,
-                    const std::string& message) {
-  try {
-    prog.validate(scop);
-    ADD_FAILURE() << "accepted; expected: " << message;
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
-        << e.what();
-  }
 }
 
 /// Appends a copy of task `idx` with a fresh out tag (so the duplicate
