@@ -1,5 +1,6 @@
-// Serial vs parallel pipeline detection (EXPERIMENTS.md E15), the paper
-// suite serial-detection benchmark and the DetectCache gate (E17).
+// Pipeline detection timings on synthetic nest chains (EXPERIMENTS.md
+// E15), the paper suite detection benchmark and the DetectCache gate
+// (E17).
 //
 // Synthetic SCoPs with 8-64 consecutive nests over large rectangular
 // domains: nest k writes A_k[i][j], reads its own diagonal neighbour
@@ -9,8 +10,7 @@
 //
 // Usage:
 //   bench_detect [--smoke] [--suite] [--parametric] [--reduction]
-//                [--detect-cache] [--json=FILE] [--trace=FILE] [threads...]
-//                                              (default threads: 2 4 8)
+//                [--detect-cache] [--json=FILE] [--trace=FILE]
 //
 // --reduction benchmarks reductionMode=off vs auto over the reduction
 // kernel grid and gates on the partial-reduction structure (exactly one
@@ -27,11 +27,12 @@
 // --trace=FILE traces the run (detection phase spans, per-unit spans)
 // and writes Chrome Trace Event JSON for chrome://tracing / Perfetto.
 //
-// --smoke runs one small configuration, verifies that parallel detection
-// is bit-identical to serial, and exits non-zero on mismatch — the CI
-// correctness hook. With --detect-cache it additionally verifies that a
-// cached result is bit-identical to recomputation and that a warm rerun
-// is >= 5x faster than the cold compile, failing the run otherwise.
+// --smoke runs one small configuration, verifies that the parametric
+// route's PipelineInfo is bit-identical to the legacy route's, and exits
+// non-zero on mismatch — the CI correctness hook. With --detect-cache it
+// additionally verifies that a cached result is bit-identical to
+// recomputation and that a warm rerun is >= 5x faster than the cold
+// compile, failing the run otherwise.
 //
 // --suite times serial end-to-end detection over the paper programs
 // P1-P10 at N=16 (the E17 reference metric), the nmm3/gnmmt3 matmul
@@ -58,11 +59,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace {
@@ -120,12 +119,11 @@ bool infoEquals(const pipeline::PipelineInfo& a,
   return true;
 }
 
-double timeDetect(const scop::Scop& scop, unsigned threads, int reps,
+double timeDetect(const scop::Scop& scop, int reps,
                   pipeline::PipelineInfo* out = nullptr,
                   pipeline::DetectOptions::ParametricMode mode =
                       pipeline::DetectOptions::ParametricMode::Auto) {
   pipeline::DetectOptions opt;
-  opt.numThreads = threads;
   opt.parametricMode = mode;
   double best = 0;
   for (int r = 0; r < reps; ++r) {
@@ -142,17 +140,17 @@ double timeDetect(const scop::Scop& scop, unsigned threads, int reps,
 
 int runSmoke(bool useCache) {
   const scop::Scop scop = syntheticScop(16, 24);
-  pipeline::PipelineInfo serial, parallel;
-  timeDetect(scop, 0, 1, &serial);
-  timeDetect(scop, 4, 1, &parallel);
-  if (!infoEquals(serial, parallel)) {
-    std::printf("bench_detect --smoke: FAIL — parallel PipelineInfo "
-                "differs from serial\n");
+  pipeline::PipelineInfo info, legacy;
+  timeDetect(scop, 1, &info);
+  timeDetect(scop, 1, &legacy, pipeline::DetectOptions::ParametricMode::Off);
+  if (!infoEquals(info, legacy)) {
+    std::printf("bench_detect --smoke: FAIL — parametric PipelineInfo "
+                "differs from the legacy route's\n");
     return 1;
   }
   std::printf("bench_detect --smoke: OK — 16 statements, %zu pipeline maps, "
-              "%zu blocks, parallel(4) == serial\n",
-              serial.maps.size(), serial.totalBlocks());
+              "%zu blocks, parametric == legacy\n",
+              info.maps.size(), info.totalBlocks());
   if (!useCache)
     return 0;
 
@@ -170,7 +168,7 @@ int runSmoke(bool useCache) {
       warmSec = t;
   }
   const pipeline::DetectCache::Stats stats = cache.stats();
-  if (!infoEquals(serial, cold) || !infoEquals(serial, warm)) {
+  if (!infoEquals(info, cold) || !infoEquals(info, warm)) {
     std::printf("bench_detect --smoke: FAIL — cached PipelineInfo differs "
                 "from recomputation\n");
     return 1;
@@ -262,11 +260,11 @@ int runSuite(bool useCache, const std::string& jsonPath) {
     const int reps = row.n > kN ? 3 : kReps;
     pipeline::PipelineInfo info;
     const double sec =
-        timeDetect(row.scop, 0, reps, &info,
+        timeDetect(row.scop, reps, &info,
                    pipeline::DetectOptions::ParametricMode::Off);
     pipeline::PipelineInfo autoInfo;
     const double autoSec =
-        timeDetect(row.scop, 0, reps, &autoInfo,
+        timeDetect(row.scop, reps, &autoInfo,
                    pipeline::DetectOptions::ParametricMode::Auto);
     if (!infoEquals(info, autoInfo)) {
       std::printf("bench_detect --suite: FAIL — parametric PipelineInfo "
@@ -608,7 +606,6 @@ int dumpTrace(trace::Session& session, const std::string& path) {
 } // namespace
 
 int main(int argc, char** argv) {
-  std::vector<unsigned> threadCounts;
   std::string tracePath, jsonPath;
   bool smoke = false, suite = false, parametric = false, useCache = false;
   bool reduction = false;
@@ -627,8 +624,10 @@ int main(int argc, char** argv) {
       tracePath = argv[a] + 8;
     else if (std::strncmp(argv[a], "--json=", 7) == 0)
       jsonPath = argv[a] + 7;
-    else
-      threadCounts.push_back(static_cast<unsigned>(std::atoi(argv[a])));
+    else {
+      std::printf("bench_detect: unknown argument '%s'\n", argv[a]);
+      return 2;
+    }
   }
 
   trace::Session session;
@@ -657,12 +656,7 @@ int main(int argc, char** argv) {
     const int traceRc = dumpTrace(session, tracePath);
     return rc != 0 ? rc : traceRc;
   }
-  if (threadCounts.empty())
-    threadCounts = {2, 4, 8};
-
-  std::printf("bench_detect: serial vs parallel detectPipeline\n");
-  std::printf("hardware_concurrency = %u\n\n",
-              std::thread::hardware_concurrency());
+  std::printf("bench_detect: detectPipeline on synthetic nest chains\n\n");
 
   struct Config {
     std::size_t stmts;
@@ -670,26 +664,15 @@ int main(int argc, char** argv) {
   };
   const Config configs[] = {{8, 48}, {16, 40}, {32, 28}, {64, 20}};
 
-  pipoly::bench::Table table({"stmts", "domain", "pairs", "serial_ms",
-                              "threads", "parallel_ms", "speedup"});
+  pipoly::bench::Table table({"stmts", "domain", "pairs", "detect_ms"});
   for (const Config& c : configs) {
     const scop::Scop scop = syntheticScop(c.stmts, c.extent);
-    pipeline::PipelineInfo serialInfo;
-    const double serial = timeDetect(scop, 0, 3, &serialInfo);
-    for (unsigned t : threadCounts) {
-      pipeline::PipelineInfo parallelInfo;
-      const double par = timeDetect(scop, t, 3, &parallelInfo);
-      if (!infoEquals(serialInfo, parallelInfo)) {
-        std::printf("MISMATCH at stmts=%zu threads=%u\n", c.stmts, t);
-        return 1;
-      }
-      table.addRow({std::to_string(c.stmts),
-                    std::to_string(c.extent) + "x" + std::to_string(c.extent),
-                    std::to_string(serialInfo.maps.size()),
-                    pipoly::bench::fmt(serial * 1e3), std::to_string(t),
-                    pipoly::bench::fmt(par * 1e3),
-                    pipoly::bench::fmt(serial / par) + "x"});
-    }
+    pipeline::PipelineInfo info;
+    const double seconds = timeDetect(scop, 3, &info);
+    table.addRow({std::to_string(c.stmts),
+                  std::to_string(c.extent) + "x" + std::to_string(c.extent),
+                  std::to_string(info.maps.size()),
+                  pipoly::bench::fmt(seconds * 1e3)});
   }
   table.print();
   return dumpTrace(session, tracePath);

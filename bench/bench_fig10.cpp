@@ -126,13 +126,12 @@ int main() {
     // interned slot table.
     constexpr int kReps = 50;
     std::uint64_t sink = 0;
+    codegen::TaskProgram untabled = prog; // resolved by tag, through hashing
+    untabled.producers = {};
     Stopwatch mapWatch;
-    for (int rep = 0; rep < kReps; ++rep) {
-      const codegen::OutOwnerIndex owner = prog.buildOutOwnerIndex();
-      for (const codegen::Task& t : prog.tasks)
-        for (const codegen::TaskDep& d : t.in)
-          sink += owner.find({d.idx, d.tag})->second;
-    }
+    for (int rep = 0; rep < kReps; ++rep)
+      for (std::uint32_t p : codegen::resolveProducers(untabled).ids)
+        sink += p;
     const double resolveMap = mapWatch.seconds() / kReps;
     Stopwatch slotWatch;
     for (int rep = 0; rep < kReps; ++rep)

@@ -12,7 +12,6 @@
 #include "kernels/suite.hpp"
 #include "kernels/suite_runner.hpp"
 #include "tasking/executor.hpp"
-#include "tasking/timing_layer.hpp"
 
 #include <cstdio>
 
@@ -30,11 +29,12 @@ int main() {
     codegen::TaskProgram prog = codegen::compilePipeline(scop);
 
     const int size = 2;
-    // Real execution with per-task wall-clock timing.
+    // Real execution on one worker, timed end to end.
     kernels::SuiteRunner runner(spec, scop, size);
-    tasking::TimingLayer timing(tasking::makeThreadPoolBackend(1));
-    tasking::executeTaskProgram(prog, timing, runner.executor());
-    const double measured = timing.lastRunSeconds();
+    auto layer = tasking::makeThreadPoolBackend(1);
+    Stopwatch sw;
+    tasking::executeTaskProgram(prog, *layer, runner.executor());
+    const double measured = sw.seconds();
 
     // Simulation with measured per-iteration costs.
     sim::CostModel model;

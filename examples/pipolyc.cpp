@@ -25,8 +25,6 @@
 //                   replay it N times with interpreted bodies, checking
 //                   every run against the sequential fingerprint; prints
 //                   total/per-replay timing and the executor stats
-//     --tune N      sweep task-granularity factors on N simulated workers
-//                   and report the best (the §7 granularity question)
 //     --trace=FILE  trace the whole run (compile-phase spans, a real
 //                   4-worker execution with per-task spans, and the
 //                   simulator's predicted timeline as its own track) and
@@ -66,7 +64,6 @@
 #include "pipeline/detect_cache.hpp"
 #include "pipeline/report.hpp"
 #include "schedule/build.hpp"
-#include "sim/granularity_tuner.hpp"
 #include "sim/simulator.hpp"
 #include "tasking/channel_backend.hpp"
 #include "tasking/executor.hpp"
@@ -121,7 +118,7 @@ int main(int argc, char** argv) {
   bool metricsOut = false, detectCache = false;
   pipeline::DetectOptions detectOptions;
   bool routeStats = false;
-  unsigned simulateWorkers = 0, timelineWorkers = 0, tuneWorkers = 0;
+  unsigned simulateWorkers = 0, timelineWorkers = 0;
   std::size_t replayRuns = 0;
   std::string path, tracePath;
   std::string backendName = "threadpool";
@@ -205,15 +202,11 @@ int main(int argc, char** argv) {
       if (eq == std::string::npos || eq == 0)
         return usage();
       params[binding.substr(0, eq)] = std::atoll(binding.c_str() + eq + 1);
-    } else if ((arg == "--simulate" || arg == "--timeline" ||
-                arg == "--tune") &&
-               i + 1 < argc) {
+    } else if ((arg == "--simulate" || arg == "--timeline") && i + 1 < argc) {
       unsigned workers = static_cast<unsigned>(std::atoi(argv[++i]));
       if (workers == 0)
         return usage();
-      (arg == "--simulate"   ? simulateWorkers
-       : arg == "--timeline" ? timelineWorkers
-                             : tuneWorkers) = workers;
+      (arg == "--simulate" ? simulateWorkers : timelineWorkers) = workers;
     } else if (!arg.empty() && arg[0] == '-') {
       return usage();
     } else {
@@ -223,7 +216,7 @@ int main(int argc, char** argv) {
   if (!maps && !tree && !astOut && !annotated && !tasks && !dot && !json &&
       !report && !emitC && !verifyRun && !optimizeRun && !metricsOut &&
       tracePath.empty() && simulateWorkers == 0 && timelineWorkers == 0 &&
-      tuneWorkers == 0 && replayRuns == 0)
+      replayRuns == 0)
     maps = astOut = true; // sensible default
 
   std::string source = kDemoProgram;
@@ -448,20 +441,6 @@ int main(int argc, char** argv) {
         std::printf("== timeline (%u workers) ==\n%s\n", timelineWorkers,
                     sim::renderTimeline(r, prog, scop).c_str());
       }
-    }
-    if (tuneWorkers) {
-      sim::CostModel model;
-      model.iterationCost.assign(scop.numStatements(), 50e-6);
-      model.taskOverhead = 2e-6;
-      sim::GranularityChoice choice = sim::chooseGranularity(
-          scop, model, sim::SimConfig{tuneWorkers});
-      std::printf("== granularity tuning (%u workers) ==\n", tuneWorkers);
-      for (const sim::GranularityCandidate& c : choice.sweep)
-        std::printf("  coarsening %4zu: %5zu tasks, makespan %.3f ms%s\n",
-                    c.coarsening, c.tasks, c.makespan * 1e3,
-                    c.coarsening == choice.best.coarsening ? "  <= best"
-                                                           : "");
-      std::printf("\n");
     }
 
     if (tracing) {

@@ -1,7 +1,5 @@
 #include "codegen/dot_export.hpp"
 
-#include "support/assert.hpp"
-
 #include <set>
 #include <sstream>
 
@@ -42,21 +40,19 @@ std::string toDot(const TaskProgram& program, const scop::Scop& scop,
     os << "  }\n";
   }
 
-  // Resolve edges through the owner index built once — the per-edge
-  // taskWithOut() scan was O(tasks * edges) on large graphs.
-  const OutOwnerIndex owner = program.buildOutOwnerIndex();
+  const ProducerTable producers = resolveProducers(program);
   std::set<std::pair<std::size_t, std::size_t>> labelled;
   for (const Task& t : program.tasks) {
+    const std::uint32_t* src = producers.ids.data() + producers.offsets[t.id];
     for (const TaskDep& dep : t.in) {
-      auto src = owner.find({dep.idx, dep.tag});
-      PIPOLY_CHECK(src != owner.end());
-      os << "  t" << src->second << " -> t" << t.id;
+      const std::size_t producer = *src++;
+      os << "  t" << producer << " -> t" << t.id;
       if (dep.selfOrdering) {
         os << " [style=dashed]";
       } else if (comm != nullptr) {
         // Volume/capacity label on the first edge of each statement pair
         // only: the numbers are per-pair, repeating them is pure clutter.
-        const std::size_t srcStmt = program.tasks[src->second].stmtIdx;
+        const std::size_t srcStmt = program.tasks[producer].stmtIdx;
         if (srcStmt != t.stmtIdx &&
             labelled.emplace(srcStmt, t.stmtIdx).second)
           if (const pipeline::EdgeComm* e = comm->edge(srcStmt, t.stmtIdx))

@@ -1,7 +1,5 @@
 #include "codegen/json_export.hpp"
 
-#include "support/assert.hpp"
-
 #include <sstream>
 
 namespace pipoly::codegen {
@@ -24,7 +22,7 @@ std::string escape(const std::string& s) {
 std::string toJson(const TaskProgram& program, const scop::Scop& scop,
                    const std::optional<ProgramCounts>& preOptCounts,
                    const pipeline::CommInfo* comm) {
-  const OutOwnerIndex owner = program.buildOutOwnerIndex();
+  const ProducerTable producers = resolveProducers(program);
 
   std::vector<std::size_t> blocksPerStmt(scop.numStatements(), 0);
   for (const Task& t : program.tasks)
@@ -74,10 +72,9 @@ std::string toJson(const TaskProgram& program, const scop::Scop& scop,
     if (t.kind == TaskKind::ReductionCombine)
       os << ", \"combine\": true";
     os << ", \"deps\": [";
+    const std::uint32_t* src = producers.ids.data() + producers.offsets[t.id];
     for (std::size_t k = 0; k < t.in.size(); ++k) {
-      auto it = owner.find({t.in[k].idx, t.in[k].tag});
-      PIPOLY_CHECK(it != owner.end());
-      os << (k ? ", " : "") << "{\"task\": " << it->second << ", \"self\": "
+      os << (k ? ", " : "") << "{\"task\": " << src[k] << ", \"self\": "
          << (t.in[k].selfOrdering ? "true" : "false") << '}';
     }
     os << "]}" << (t.id + 1 < program.tasks.size() ? "," : "") << '\n';

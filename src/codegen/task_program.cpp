@@ -4,12 +4,15 @@
 #include "presburger/rows.hpp"
 #include "schedule/build.hpp"
 #include "support/assert.hpp"
+#include "support/hash.hpp"
 #include "trace/trace.hpp"
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <unordered_map>
+#include <utility>
 
 namespace pipoly::codegen {
 
@@ -36,14 +39,6 @@ std::optional<std::size_t> TaskProgram::taskWithOut(const TaskDep& dep) const {
     if (t.out.idx == dep.idx && t.out.tag == dep.tag)
       return t.id;
   return std::nullopt;
-}
-
-OutOwnerIndex TaskProgram::buildOutOwnerIndex() const {
-  OutOwnerIndex owner;
-  owner.reserve(tasks.size() * 2);
-  for (const Task& t : tasks)
-    owner.emplace(std::make_pair(t.out.idx, t.out.tag), t.id);
-  return owner;
 }
 
 ProgramCounts TaskProgram::counts() const {
@@ -83,11 +78,25 @@ bool TaskProgram::producersMatch() const {
 
 namespace {
 
+/// Hashed (idx, tag) -> producing task id index. Lowered programs carry
+/// their producers resolved (TaskProgram::producers), so only programs
+/// without a matching table build one.
+using OutOwnerIndex =
+    std::unordered_map<std::pair<int, std::int64_t>, std::size_t, PairHash>;
+
+OutOwnerIndex buildOutOwnerIndex(const TaskProgram& program) {
+  OutOwnerIndex owner;
+  owner.reserve(program.tasks.size() * 2);
+  for (const Task& t : program.tasks)
+    owner.emplace(std::make_pair(t.out.idx, t.out.tag), t.id);
+  return owner;
+}
+
 /// Resolves every in-dependency by tag through the hashed owner index: the
 /// path of hand-assembled and hand-edited programs. O(tasks + edges)
 /// expected.
 ProducerTable resolveByTag(const TaskProgram& program) {
-  const OutOwnerIndex owner = program.buildOutOwnerIndex();
+  const OutOwnerIndex owner = buildOutOwnerIndex(program);
   ProducerTable table;
   table.offsets.reserve(program.tasks.size() + 1);
   table.offsets.push_back(0);

@@ -20,13 +20,11 @@
 #include "pipeline/detect.hpp"
 #include "presburger/tuple.hpp"
 #include "scop/scop.hpp"
-#include "support/hash.hpp"
 
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -63,13 +61,6 @@ struct Task {
   std::vector<TaskDep> in;
   TaskKind kind = TaskKind::Block;
 };
-
-/// Hashed (idx, tag) -> producing task id index. Lowered programs carry
-/// their producers resolved (TaskProgram::producers), so the compile path
-/// builds none; the index serves the exports, the hand-assembled programs
-/// that carry no producer table, and the tests as an oracle.
-using OutOwnerIndex =
-    std::unordered_map<std::pair<int, std::int64_t>, std::size_t, PairHash>;
 
 /// Every in-dependency of a program resolved to the id of the task that
 /// produces it: a CSR table parallel to Task::in, where the producer of
@@ -120,12 +111,8 @@ struct TaskProgram {
   ProducerTable producers;
 
   /// Index of the task with the given out-dependency; tasks are unique per
-  /// (idx, tag). Linear scan — for bulk resolution build the owner index
-  /// once with buildOutOwnerIndex() instead.
+  /// (idx, tag). Linear scan — for bulk resolution use resolveProducers.
   std::optional<std::size_t> taskWithOut(const TaskDep& dep) const;
-
-  /// Builds the (idx, tag) -> task id index in one O(tasks) pass.
-  OutOwnerIndex buildOutOwnerIndex() const;
 
   /// Task and in-edge counts (for shrinkage reporting).
   ProgramCounts counts() const;

@@ -270,7 +270,7 @@ OptimizeStats optimize(codegen::TaskProgram& program,
   ProducerTable lists = program.producersMatch()
                             ? std::move(program.producers)
                             : codegen::resolveProducers(program);
-  if (options.transitiveReduction) {
+  {
     trace::Span pass("opt.transitive_reduction");
     stats.edgesRemoved = transitiveReduce(program, lists);
   }

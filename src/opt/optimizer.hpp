@@ -54,10 +54,9 @@ namespace pipoly::opt {
 
 struct OptimizeOptions {
   /// Master switch. When false, optimize() is a no-op and the program is
-  /// bit-identical to the legacy (unoptimized) lowering.
+  /// bit-identical to the legacy (unoptimized) lowering; when true, pass 1
+  /// (transitive reduction) always runs.
   bool enabled = true;
-  /// Pass 1: drop transitively-implied in-dependency edges.
-  bool transitiveReduction = true;
   /// Pass 2: maximum number of original tasks merged into one fused
   /// task. 1 disables fusion; the default keeps tasks small enough that
   /// the pipeline's fill/drain overlap survives.

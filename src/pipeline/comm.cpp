@@ -146,7 +146,7 @@ CommInfo analyzeCommunication(const scop::Scop& scop, const PipelineInfo& info,
     if (!parametric)
       w.comm.elements = explicitElements;
     w.comm.parametric = parametric;
-    w.comm.totalBytes = w.comm.elements * options.elementSize;
+    w.comm.totalBytes = w.comm.elements * kElementSize;
 
     // Per producer block: consumed bytes and (implicitly, through the
     // requirement tokens below) the consumer blocks that read it.
@@ -168,7 +168,7 @@ CommInfo analyzeCommunication(const scop::Scop& scop, const PipelineInfo& info,
         elems.erase(std::unique(elems.begin(), elems.end()), elems.end());
         blockElems += elems.size();
       }
-      const std::uint64_t bytes = blockElems * options.elementSize;
+      const std::uint64_t bytes = blockElems * kElementSize;
       w.comm.maxBlockBytes = std::max(w.comm.maxBlockBytes, bytes);
       w.prefixBytes[p + 1] = w.prefixBytes[p] + bytes;
     }
@@ -258,7 +258,7 @@ CommInfo analyzeCommunication(const scop::Scop& scop, const PipelineInfo& info,
   for (EdgeWork& w : work) {
     w.comm.peakInFlightTokens = w.peakTokens;
     w.comm.peakInFlightBytes = w.peakBytes;
-    w.comm.capacitySlots = std::max(options.minCapacitySlots, w.peakTokens);
+    w.comm.capacitySlots = std::max(kMinCapacitySlots, w.peakTokens);
     result.edges.push_back(w.comm);
   }
   return result;

@@ -34,20 +34,20 @@
 
 namespace pipoly::pipeline {
 
-struct CommOptions {
-  /// Bytes per array element. The kernel suite's arrays hold 64-bit
-  /// integers (exact oracle fingerprints), so 8 is the default.
-  std::size_t elementSize = 8;
+/// Bytes per array element: the kernel suite's arrays hold 64-bit
+/// integers (exact oracle fingerprints).
+inline constexpr std::size_t kElementSize = 8;
 
+/// Floor for the sized channel capacity. Two slots keep one block in
+/// flight while the next is produced even on edges with lockstep peak 1.
+inline constexpr std::uint32_t kMinCapacitySlots = 2;
+
+struct CommOptions {
   /// Mirror of DetectOptions::parametricMode for the volume computation:
   /// Auto takes the closed form on separable pairs (bit-identical to the
   /// explicit intersection), Off always materializes the intersection.
   enum class ParametricMode { Off, Auto };
   ParametricMode parametricMode = ParametricMode::Auto;
-
-  /// Floor for the sized channel capacity. Two slots keep one block in
-  /// flight while the next is produced even on edges with lockstep peak 1.
-  std::uint32_t minCapacitySlots = 2;
 };
 
 /// Communication summary of one pipeline edge (one PipelineInfo::maps
@@ -59,7 +59,7 @@ struct EdgeComm {
 
   /// Distinct array elements written by src and read by tgt.
   std::uint64_t elements = 0;
-  std::uint64_t totalBytes = 0; // elements * elementSize
+  std::uint64_t totalBytes = 0; // elements * kElementSize
   /// Largest number of bytes any single producer block feeds the edge.
   std::uint64_t maxBlockBytes = 0;
 
@@ -67,7 +67,7 @@ struct EdgeComm {
   /// schedule, and the live bytes at that peak.
   std::uint32_t peakInFlightTokens = 0;
   std::uint64_t peakInFlightBytes = 0;
-  /// max(minCapacitySlots, peakInFlightTokens): ring slots such that the
+  /// max(kMinCapacitySlots, peakInFlightTokens): ring slots such that the
   /// ASAP schedule never stalls on a full channel.
   std::uint32_t capacitySlots = 2;
 

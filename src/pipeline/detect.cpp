@@ -1,7 +1,6 @@
 #include "pipeline/detect.hpp"
 
 #include "pipeline/symbolic.hpp"
-#include "runtime/thread_pool.hpp"
 #include "scop/dependences.hpp"
 #include "support/assert.hpp"
 #include "trace/trace.hpp"
@@ -374,44 +373,18 @@ InRequirement computeInRequirement(const scop::Scop& scop,
                                                   std::move(rows))};
 }
 
-/// Runs `fn(0) .. fn(count-1)` — inline when `pool` is null (the serial
-/// reference path), otherwise as independent tasks on the pool with a
-/// barrier at the end. Each unit writes only its own result slot, so the
-/// outcome is identical either way; waitAll() rethrows the first failure.
-template <typename Fn>
-void forEachUnit(rt::DependencyThreadPool* pool, std::size_t count, Fn&& fn) {
-  if (pool == nullptr) {
-    for (std::size_t i = 0; i < count; ++i)
-      fn(i);
-    return;
-  }
-  for (std::size_t i = 0; i < count; ++i)
-    pool->submit([&fn, i] { fn(i); }, {});
-  pool->waitAll();
-}
-
 } // namespace
 
 PipelineInfo detectPipeline(const scop::Scop& scop,
                             const DetectOptions& options) {
-  // Algorithm-1 phase spans; the per-unit spans inside the phases land in
-  // each pool worker's own trace buffer on the parallel path. All probes
-  // cost one relaxed load when no trace session is active.
+  // Algorithm-1 phase spans, with one span per unit inside each phase.
+  // All probes cost one relaxed load when no trace session is active.
   trace::Span detectSpan("detect.pipeline");
   scop::validateProgramModel(scop);
   PIPOLY_CHECK(options.coarsening >= 1);
   const std::size_t n = scop.numStatements();
   PipelineInfo info;
   info.statements.resize(n);
-
-  // numThreads == 0 keeps everything inline on the caller's thread; any
-  // other value runs the three phases' units on a work-stealing pool.
-  // Results are gathered positionally in the serial iteration order, so
-  // PipelineInfo is bit-identical regardless of the thread count.
-  std::optional<rt::DependencyThreadPool> pool;
-  if (options.numThreads > 0)
-    pool.emplace(options.numThreads);
-  rt::DependencyThreadPool* poolPtr = pool ? &*pool : nullptr;
 
   // Reduction pre-pass (reduction.hpp): classify every statement once.
   // Off leaves the vector empty — computePair and computeStatementInfo
@@ -420,9 +393,8 @@ PipelineInfo detectPipeline(const scop::Scop& scop,
   if (options.reductionMode == DetectOptions::ReductionMode::Auto) {
     trace::Span phase("detect.reductions");
     reductions.resize(n);
-    forEachUnit(poolPtr, n, [&](std::size_t s) {
+    for (std::size_t s = 0; s < n; ++s)
       reductions[s] = classifyReduction(scop, s);
-    });
     for (std::size_t s = 0; s < n; ++s)
       if (reductions[s].relaxed) {
         ++info.stats.reductionStatements;
@@ -444,16 +416,15 @@ PipelineInfo detectPipeline(const scop::Scop& scop,
   std::vector<PairResult> pairResults(candidates.size());
   {
     trace::Span phase("detect.pairs");
-    forEachUnit(poolPtr, candidates.size(), [&](std::size_t i) {
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
       trace::Span unit("detect.pair", static_cast<std::int64_t>(i));
       pairResults[i] = computePair(scop, candidates[i].first,
                                    candidates[i].second, options, reductions);
-    });
+    }
   }
 
-  // Deterministic gather preserving the serial push order; the route
-  // counters and their trace instants are tallied here (not in the
-  // workers) so they are identical for every thread count.
+  // Gather in candidate order; the route counters and their trace
+  // instants are tallied here.
   info.stats.candidatePairs = candidates.size();
   std::vector<std::vector<pb::IntMap>> blockingMaps(n);
   // Per target, the relaxed-reduction sources it depends on (combine
@@ -498,12 +469,12 @@ PipelineInfo detectPipeline(const scop::Scop& scop,
   // Phase 2 (lines 8-10): integrate blocking maps (eq. 3) per statement.
   {
     trace::Span phase("detect.integrate");
-    forEachUnit(poolPtr, n, [&](std::size_t s) {
+    for (std::size_t s = 0; s < n; ++s) {
       trace::Span unit("detect.statement", static_cast<std::int64_t>(s));
       computeStatementInfo(scop, s, blockingMaps[s], options,
                            reductions.empty() ? kNoReduction : reductions[s],
                            info.statements[s]);
-    });
+    }
   }
 
   // Phase 3 (lines 11-12): in-dependency maps (eq. 4), one per pipeline
@@ -511,11 +482,11 @@ PipelineInfo detectPipeline(const scop::Scop& scop,
   std::vector<InRequirement> requirements(info.maps.size());
   {
     trace::Span phase("detect.requirements");
-    forEachUnit(poolPtr, info.maps.size(), [&](std::size_t i) {
+    for (std::size_t i = 0; i < info.maps.size(); ++i) {
       trace::Span unit("detect.requirement", static_cast<std::int64_t>(i));
       requirements[i] =
           computeInRequirement(scop, info.maps[i], info, options);
-    });
+    }
   }
   for (std::size_t i = 0; i < info.maps.size(); ++i)
     info.statements[info.maps[i].tgtIdx].inRequirements.push_back(

@@ -202,16 +202,6 @@ struct DetectOptions {
   /// its domain is split into min(reductionBlocks, |domain|) contiguous
   /// chunks. Result-affecting, so part of the DetectCache fingerprint.
   std::size_t reductionBlocks = 8;
-
-  /// Workers for the detection pass itself. 0 (the default) runs
-  /// everything inline on the caller's thread — the serial reference
-  /// path. Any other value dispatches the per-pair pipeline/blocking-map
-  /// computations, the per-statement integrations and the per-map
-  /// in-dependency derivations as independent tasks on a work-stealing
-  /// DependencyThreadPool; results are gathered positionally in the
-  /// serial iteration order, so the returned PipelineInfo is
-  /// bit-identical for every thread count.
-  unsigned numThreads = 0;
 };
 
 /// Algorithm 1. Computes pipeline maps for every dependent statement pair,

@@ -70,9 +70,6 @@ std::string detectFingerprint(const scop::Scop& scop,
   // Both are result-affecting and must separate cache entries.
   k.num(static_cast<std::int64_t>(options.reductionMode));
   k.num(static_cast<std::int64_t>(options.reductionBlocks));
-  // numThreads deliberately excluded: the result is bit-identical for
-  // every thread count (detect.hpp's contract), so serial and parallel
-  // runs share entries.
 
   k.str(scop.name());
   k.num(static_cast<std::int64_t>(scop.arrays().size()));

@@ -1,16 +1,14 @@
 #pragma once
 
 // Detection result cache. Pipeline detection is a pure function of the
-// instantiated SCoP and the detection options (PipelineInfo is guaranteed
-// bit-identical for every thread count), so drivers that analyse the same
-// program repeatedly — parameter sweeps, schedule re-runs, the REPL-style
-// pipolyc invocations — can memoize it.
+// instantiated SCoP and the detection options, so drivers that analyse
+// the same program repeatedly — parameter sweeps, schedule re-runs, the
+// REPL-style pipolyc invocations — can memoize it.
 //
 // The key is an exact byte-serialisation of everything detection reads:
 // statement names/depths/domains, access relations (array id, affine
-// subscripts, aux extents), array names/shapes, and every option except
-// numThreads. No hashing-with-collisions shortcut: equal keys mean equal
-// inputs, so a hit returns a result bit-identical to recomputation.
+// subscripts, aux extents), array names/shapes, and every option. No
+// hashing-with-collisions shortcut: equal keys mean equal inputs, so a hit returns a result bit-identical to recomputation.
 // Cached PipelineInfo values share their presburger row buffers, so a hit
 // copies a few shared_ptrs instead of re-running Algorithm 1.
 //
@@ -28,9 +26,7 @@
 
 namespace pipoly::pipeline {
 
-/// The exact cache key for one (scop, options) detection input. Excludes
-/// DetectOptions::numThreads — the result is bit-identical across thread
-/// counts by construction.
+/// The exact cache key for one (scop, options) detection input.
 std::string detectFingerprint(const scop::Scop& scop,
                               const DetectOptions& options);
 

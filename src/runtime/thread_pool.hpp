@@ -166,11 +166,6 @@ public:
   bool frozen() const { return frozen_; }
   std::size_t size() const { return predOffsets_.size() - 1; }
   std::size_t numEdges() const { return preds_.size(); }
-  /// The dependencies node `v` was added with, in order.
-  std::span<const NodeId> predecessors(NodeId v) const {
-    return {preds_.data() + predOffsets_[v],
-            preds_.data() + predOffsets_[v + 1]};
-  }
   std::size_t numGroups() const {
     return groupOffsets_.empty() ? 0 : groupOffsets_.size() - 1;
   }

@@ -5,22 +5,34 @@
 #include <algorithm>
 #include <map>
 #include <queue>
-#include <set>
+#include <sstream>
+#include <tuple>
 
 namespace pipoly::sim {
 
-namespace {
+SimResult simulate(const codegen::TaskProgram& program, const CostModel& model,
+                   const SimConfig& config) {
+  return simulate(program, opt::buildSlotTable(program), model, config);
+}
 
-/// Runs the discrete-event machine given the already-resolved dependent
-/// lists — shared by the generic (hashed resolution) and interned-slot
-/// (array-indexed resolution) entry points.
-SimResult simulateResolved(const codegen::TaskProgram& program,
-                           const CostModel& model, const SimConfig& config,
-                           const std::vector<std::vector<std::size_t>>&
-                               dependents,
-                           std::vector<std::size_t> indegree) {
+SimResult simulate(const codegen::TaskProgram& program,
+                   const opt::SlotTable& slots, const CostModel& model,
+                   const SimConfig& config) {
   PIPOLY_CHECK(config.workers >= 1);
   const std::size_t n = program.tasks.size();
+  PIPOLY_CHECK_MSG(slots.numSlots == n,
+                   "slot table does not match the task program");
+
+  // Producer slot ids are task ids: O(1) per edge, no hashing.
+  std::vector<std::vector<std::size_t>> dependents(n);
+  std::vector<std::size_t> indegree(n, 0);
+  for (std::size_t id = 0; id < n; ++id) {
+    for (const std::uint32_t* s = slots.inBegin(id); s != slots.inEnd(id);
+         ++s) {
+      dependents[*s].push_back(id);
+      ++indegree[id];
+    }
+  }
 
   std::vector<double> cost(n);
   SimResult result;
@@ -40,33 +52,12 @@ SimResult simulateResolved(const codegen::TaskProgram& program,
       cp[d] = std::max(cp[d], cp[i]);
   }
 
-  // Bottom level (longest path from a task to the exit, inclusive), the
-  // priority of critical-path-first scheduling.
-  std::vector<double> bottomLevel(n, 0.0);
-  for (std::size_t i = n; i-- > 0;) {
-    double best = 0.0;
-    for (std::size_t d : dependents[i])
-      best = std::max(best, bottomLevel[d]);
-    bottomLevel[i] = cost[i] + best;
-  }
-
-  // Greedy list scheduling with the configured ready-queue policy.
-  auto priority = [&](std::size_t task) -> double {
-    switch (config.policy) {
-    case SimConfig::Policy::CreationOrder:
-      return 0.0;
-    case SimConfig::Policy::CriticalPathFirst:
-      return -bottomLevel[task];
-    case SimConfig::Policy::LongestTaskFirst:
-      return -cost[task];
-    }
-    PIPOLY_UNREACHABLE("policy");
-  };
-  using ReadyKey = std::pair<double, std::size_t>; // (priority, id)
-  std::set<ReadyKey> ready;
+  // Greedy list scheduling; ready tasks leave in creation order.
+  std::priority_queue<std::size_t, std::vector<std::size_t>, std::greater<>>
+      ready;
   for (std::size_t i = 0; i < n; ++i)
     if (indegree[i] == 0)
-      ready.emplace(priority(i), i);
+      ready.push(i);
 
   // (finish time, task, worker)
   using Event = std::tuple<double, std::size_t, unsigned>;
@@ -81,8 +72,8 @@ SimResult simulateResolved(const codegen::TaskProgram& program,
   while (finished < n) {
     // Dispatch as many ready tasks as there are free workers.
     while (!ready.empty() && !freeWorkers.empty()) {
-      std::size_t task = ready.begin()->second;
-      ready.erase(ready.begin());
+      const std::size_t task = ready.top();
+      ready.pop();
       unsigned worker = freeWorkers.back();
       freeWorkers.pop_back();
       result.events.push_back(
@@ -98,54 +89,10 @@ SimResult simulateResolved(const codegen::TaskProgram& program,
     ++finished;
     for (std::size_t d : dependents[task])
       if (--indegree[d] == 0)
-        ready.emplace(priority(d), d);
+        ready.push(d);
   }
   result.makespan = now;
   return result;
-}
-
-} // namespace
-
-SimResult simulate(const codegen::TaskProgram& program, const CostModel& model,
-                   const SimConfig& config) {
-  const std::size_t n = program.tasks.size();
-
-  // Build predecessor edges from the dependency tags (tags are unique per
-  // task, validated by TaskProgram::validate).
-  const codegen::OutOwnerIndex outOwner = program.buildOutOwnerIndex();
-  std::vector<std::vector<std::size_t>> dependents(n);
-  std::vector<std::size_t> indegree(n, 0);
-  for (const codegen::Task& t : program.tasks) {
-    for (const codegen::TaskDep& d : t.in) {
-      auto it = outOwner.find({d.idx, d.tag});
-      PIPOLY_CHECK_MSG(it != outOwner.end(), "unresolved task dependency");
-      dependents[it->second].push_back(t.id);
-      ++indegree[t.id];
-    }
-  }
-  return simulateResolved(program, model, config, dependents,
-                          std::move(indegree));
-}
-
-SimResult simulate(const codegen::TaskProgram& program,
-                   const opt::SlotTable& slots, const CostModel& model,
-                   const SimConfig& config) {
-  const std::size_t n = program.tasks.size();
-  PIPOLY_CHECK_MSG(slots.numSlots == n,
-                   "slot table does not match the task program");
-
-  // Producer slot ids are task ids: O(1) per edge, no hashing.
-  std::vector<std::vector<std::size_t>> dependents(n);
-  std::vector<std::size_t> indegree(n, 0);
-  for (std::size_t id = 0; id < n; ++id) {
-    for (const std::uint32_t* s = slots.inBegin(id); s != slots.inEnd(id);
-         ++s) {
-      dependents[*s].push_back(id);
-      ++indegree[id];
-    }
-  }
-  return simulateResolved(program, model, config, dependents,
-                          std::move(indegree));
 }
 
 namespace {

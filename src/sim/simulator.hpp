@@ -44,18 +44,6 @@ struct CostModel {
 
 struct SimConfig {
   unsigned workers = 8;
-
-  /// Dispatch order among ready tasks.
-  enum class Policy {
-    /// Task creation order (what an OpenMP runtime roughly does with a
-    /// FIFO queue) — the default used for all paper reproductions.
-    CreationOrder,
-    /// Highest bottom-level first (critical-path scheduling).
-    CriticalPathFirst,
-    /// Longest task first.
-    LongestTaskFirst,
-  };
-  Policy policy = Policy::CreationOrder;
 };
 
 /// One scheduled task execution (for timeline rendering, cf. Fig. 2).
@@ -83,13 +71,15 @@ struct SimResult {
 };
 
 /// Greedy non-preemptive list scheduling of the task graph on `workers`
-/// identical workers; ready tasks are dispatched in creation order.
+/// identical workers; ready tasks are dispatched in creation order (what
+/// an OpenMP runtime roughly does with a FIFO queue). Resolves the
+/// dependency edges through opt::buildSlotTable, so an in-dependency that
+/// names no task or a later one throws.
 SimResult simulate(const codegen::TaskProgram& program, const CostModel& model,
                    const SimConfig& config);
 
-/// Same, but resolves the dependency edges through the interned slot
-/// table (opt::buildSlotTable of this very program): O(1) array indexing
-/// per edge instead of an associative lookup. The schedule is identical.
+/// Same, with the program's prebuilt slot table (opt::buildSlotTable of
+/// this very program). The schedule is identical.
 SimResult simulate(const codegen::TaskProgram& program,
                    const opt::SlotTable& slots, const CostModel& model,
                    const SimConfig& config);

@@ -8,12 +8,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
-#include <cerrno>
 #include <chrono>
-#include <climits>
 #include <condition_variable>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <functional>
@@ -28,48 +24,14 @@ namespace pipoly::tasking {
 // Stage placement itself lives in rt/placement.{hpp,cpp}: the
 // comm-weighted contiguous DP (placeStagesBalanced).
 
-std::optional<unsigned> parseChannelBackoff(const char* text) {
-  if (text == nullptr)
-    return std::nullopt;
-  while (std::isspace(static_cast<unsigned char>(*text)))
-    ++text;
-  // strtoul silently accepts a leading minus (wrapping the value), so
-  // reject anything that does not start with a digit outright.
-  if (!std::isdigit(static_cast<unsigned char>(*text)))
-    return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(text, &end, 10);
-  if (errno == ERANGE || end == text)
-    return std::nullopt;
-  while (std::isspace(static_cast<unsigned char>(*end)))
-    ++end;
-  if (*end != '\0') // trailing garbage ("4k", "64 128", ...)
-    return std::nullopt;
-  if (v == 0 || v > UINT_MAX)
-    return std::nullopt;
-  return static_cast<unsigned>(v);
-}
-
 namespace {
 
-/// PIPOLY_CHANNEL_BACKOFF: idle-poll count at which a stage worker's
-/// backoff ladder moves from yielding to 50us sleeps. Parsed once;
-/// malformed input is a hard error (same parse-and-reject contract as
-/// PIPOLY_POOL_WAKE_CAP), never a silent default.
-unsigned channelBackoffCap() {
-  static const unsigned cap = [] {
-    const char* text = std::getenv("PIPOLY_CHANNEL_BACKOFF");
-    if (text == nullptr)
-      return 16384u;
-    const std::optional<unsigned> parsed = parseChannelBackoff(text);
-    PIPOLY_CHECK_MSG(parsed.has_value(),
-                     "PIPOLY_CHANNEL_BACKOFF must be a positive integer "
-                     "(idle polls before the worker sleeps)");
-    return *parsed;
-  }();
-  return cap;
-}
+/// Ring capacity for edges the communication analysis did not size.
+constexpr std::uint32_t kDefaultCapacitySlots = 8;
+
+/// Idle polls after which a stage worker's backoff ladder moves from
+/// yielding to 50us sleeps.
+constexpr unsigned kBackoffCap = 16384;
 
 } // namespace
 
@@ -327,8 +289,7 @@ private:
   }
 
   void runStages(const std::vector<std::size_t>& owned, WorkerStats& local) {
-    const unsigned backoffCap = channelBackoffCap();
-    const unsigned spinCap = std::min(64u, backoffCap);
+    constexpr unsigned spinCap = 64;
     unsigned idle = 0;
     for (;;) {
       if (abort_.load(std::memory_order_relaxed)) {
@@ -364,7 +325,7 @@ private:
         idle = 0;
       } else if (++idle < spinCap) {
         // Tight spin: tokens usually arrive within a few polls.
-      } else if (idle < backoffCap) {
+      } else if (idle < kBackoffCap) {
         // Long yield phase before sleeping: on an oversubscribed host a
         // yield IS the handoff to the peer stage's worker (one scheduler
         // pass), while a timed sleep parks this worker for a fixed 50us
@@ -503,8 +464,7 @@ struct ProgramPlan {
 };
 
 ProgramPlan buildProgramPlan(const codegen::TaskProgram& program,
-                             const pipeline::CommInfo* comm,
-                             std::uint32_t defaultCapacity) {
+                             const pipeline::CommInfo* comm) {
   ProgramPlan plan;
   // Stages: the statements that own at least one task, ascending.
   std::vector<std::size_t> stageOf(program.numStatements, SIZE_MAX);
@@ -551,8 +511,8 @@ ProgramPlan buildProgramPlan(const codegen::TaskProgram& program,
         spec.capacitySlots =
             comm != nullptr
                 ? comm->capacityFor(stmtOf[srcStage], stmtOf[stage],
-                                    defaultCapacity)
-                : defaultCapacity;
+                                    kDefaultCapacitySlots)
+                : kDefaultCapacitySlots;
         if (comm != nullptr)
           if (const pipeline::EdgeComm* edge =
                   comm->edge(stmtOf[srcStage], stmtOf[stage]))
@@ -606,8 +566,7 @@ ChannelPipeline::ChannelPipeline(
                    "ChannelPipeline needs a non-null program (it keeps the "
                    "program alive for the tasks' raw pointers)");
   trace::Span span("channel.compile");
-  ProgramPlan plan =
-      buildProgramPlan(*program_, comm, options.defaultCapacitySlots);
+  ProgramPlan plan = buildProgramPlan(*program_, comm);
   taskAt_ = std::move(plan.taskAt);
   engine_ = std::make_unique<ChannelEngine>(
       std::move(plan.stageTasks), std::move(plan.edges), options);
@@ -798,7 +757,7 @@ private:
           ChannelEngine::EdgeSpec spec;
           spec.src = srcStage;
           spec.tgt = stage;
-          spec.capacitySlots = options_.defaultCapacitySlots;
+          spec.capacitySlots = kDefaultCapacitySlots;
           spec.reqTokens.assign(stageTasks[stage], 0);
           specs.push_back(std::move(spec));
         }

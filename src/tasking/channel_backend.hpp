@@ -38,8 +38,7 @@
 // Ring capacities come from the communication analysis
 // (pipeline::analyzeCommunication): the per-edge peak in-flight token
 // count of the ASAP lockstep schedule, so a consumer keeping pace never
-// stalls its producer. Edges without an analyzed capacity use
-// ChannelOptions::defaultCapacitySlots.
+// stalls its producer. Edges without an analyzed capacity get 8 slots.
 
 #include "codegen/task_program.hpp"
 #include "pipeline/comm.hpp"
@@ -50,7 +49,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 
 namespace pipoly::tasking {
 
@@ -59,17 +57,7 @@ struct ChannelOptions {
   /// hardware concurrency). 1 runs the whole network cooperatively on
   /// the calling thread (no worker spawns at all).
   unsigned numWorkers = 0;
-  /// Ring capacity for edges the communication analysis did not size.
-  std::uint32_t defaultCapacitySlots = 8;
 };
-
-/// Strict parser for PIPOLY_CHANNEL_BACKOFF (the idle-poll count at
-/// which a stage worker's backoff ladder moves from yielding to timed
-/// sleeps; see ChannelEngine::runStages). Same contract as
-/// rt::parseWakeCap: empty optional on garbage, zero, negative or
-/// out-of-range input — the engine turns that into a hard error, not a
-/// silent default. Exposed for tests.
-std::optional<unsigned> parseChannelBackoff(const char* text);
 
 /// A TaskProgram compiled onto the channel engine: built once (stages,
 /// edges, rings, persistent workers), replayed many times. The same

@@ -2,7 +2,6 @@
 
 #include "support/assert.hpp"
 #include "tasking/channel_backend.hpp"
-#include "tasking/task_launch.hpp"
 #include "trace/trace.hpp"
 
 #include <thread>
@@ -145,7 +144,6 @@ void CompiledPipeline::compile(const opt::SlotTable* slots) {
   if (options_.channels) {
     ChannelOptions channelOptions;
     channelOptions.numWorkers = options_.numThreads;
-    channelOptions.defaultCapacitySlots = options_.channelCapacitySlots;
     channels_ = std::make_unique<ChannelPipeline>(program_, channelOptions,
                                                   options_.comm);
   }
@@ -176,8 +174,7 @@ void CompiledPipeline::replay(const StatementExecutor& exec) {
     return;
   }
   const BatchStatementExecutor batched = dropBatch(exec);
-  if ((linear_ && options_.linearFastPath) || numThreads_ == 1 ||
-      program_->tasks.size() <= 1) {
+  if (linear_ || numThreads_ == 1 || program_->tasks.size() <= 1) {
     ++stats_.linearReplays;
     runSerial(1, batched);
     return;
@@ -213,46 +210,9 @@ void CompiledPipeline::replayBatches(std::size_t numBatches,
 
 std::size_t CompiledPipeline::retainedBytes() const {
   std::size_t bytes = graph_.storageBytes();
-  bytes += flatInSlots_.capacity() * sizeof(std::int64_t) +
-           flatInIdx_.capacity() * sizeof(int);
   if (channels_ != nullptr)
     bytes += channels_->retainedBytes();
   return bytes;
-}
-
-void CompiledPipeline::replayThrough(TaskingLayer& layer,
-                                     const StatementExecutor& exec) {
-  ReplayGuard guard(*this);
-  trace::Span span("replay.backend");
-  ++stats_.backendReplays;
-  const std::vector<codegen::Task>& tasks = program_->tasks;
-  // The createTask form of the graph's predecessors (int64 slots, all in
-  // depend index 0), built by the first call: replay() never needs it.
-  if (flatInSlots_.size() != graph_.numEdges()) {
-    flatInSlots_.reserve(graph_.numEdges());
-    for (std::size_t i = 0; i < tasks.size(); ++i)
-      for (rt::ReplayGraph::NodeId p :
-           graph_.predecessors(static_cast<rt::ReplayGraph::NodeId>(i)))
-        flatInSlots_.push_back(static_cast<std::int64_t>(p));
-    flatInIdx_.assign(flatInSlots_.size(), 0);
-  }
-  layer.run([&] {
-    layer.reserveDependencySlots(tasks.size());
-    std::size_t offset = 0;
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      detail::TaskLaunch launch{&tasks[i], &exec};
-      const std::size_t nIn =
-          graph_.predecessors(static_cast<rt::ReplayGraph::NodeId>(i)).size();
-      layer.createTask(&detail::runBlock, &launch, sizeof(detail::TaskLaunch),
-                       static_cast<std::int64_t>(i), 0,
-                       nIn != 0 ? flatInSlots_.data() + offset
-                                : detail::kEmptyDepend,
-                       nIn != 0 ? flatInIdx_.data() + offset
-                                : detail::kEmptyIdx,
-                       nIn);
-      offset += nIn;
-    }
-  });
 }
 
 } // namespace pipoly::tasking

@@ -27,11 +27,11 @@
 //     Pipeflow-style — stage s of batch b+1 may start once stage s of
 //     batch b finished (plus the write-after-read anti constraint
 //     against s's direct consumers; see rt::ReplayGraph) — so the fill/
-//     drain overlap of Fig. 10 happens *across* batches too;
-//   * replayThrough(layer) is the compatibility path for backends the
-//     pool cannot replace (OpenMP): it still spawns via CreateTask each
-//     run, but from the frozen pre-interned slot arrays, so the per-run
-//     dependency hashing disappears.
+//     drain overlap of Fig. 10 happens *across* batches too.
+//
+// Backends the pool cannot replace (OpenMP) run the program through
+// executeTaskProgram(program, slots, layer, exec) instead, spawning via
+// CreateTask from the same prebuilt slot table.
 //
 // Ownership: the pipeline holds the TaskProgram by shared_ptr. Worker
 // threads execute raw `const codegen::Task*` pointers into it (see the
@@ -72,21 +72,16 @@ struct ReplayOptions {
   /// Worker threads of the persistent pool (0 = hardware concurrency).
   /// 1 executes replays in creation order on the calling thread.
   unsigned numThreads = 0;
-  /// Allow the serial in-order fast path when the program is a single
-  /// linear chain (mostly a testing/benchmarking toggle).
-  bool linearFastPath = true;
   /// Route replay()/replayBatches() through the channel engine
   /// (tasking/channel_backend.hpp): persistent per-stage workers
   /// connected by bounded SPSC token rings instead of the ready-counter
   /// graph. Same results, no shared counter cache lines, backpressure by
-  /// construction. replayThrough() is unaffected.
+  /// construction. Edges the analysis below did not size get 8 slots.
   bool channels = false;
   /// Optional communication analysis (pipeline::analyzeCommunication of
   /// the SCoP this program was compiled from) used to size the per-edge
   /// rings on the channel route. Borrowed only during construction.
   const pipeline::CommInfo* comm = nullptr;
-  /// Ring capacity for channel edges `comm` did not size.
-  std::uint32_t channelCapacitySlots = 8;
 };
 
 class CompiledPipeline {
@@ -125,9 +120,8 @@ public:
   bool channelRoute() const { return channels_ != nullptr; }
 
   /// Approximate bytes kept allocated between replays: the frozen graph
-  /// (ready counters + CSR adjacency), replayThrough's slot arrays once
-  /// it ran, and — on the channel route — the per-edge rings and stage
-  /// tables. Same diagnostic contract as TaskingLayer::retainedBytes().
+  /// (ready counters + CSR adjacency) and — on the channel route — the
+  /// per-edge rings and stage tables. Same diagnostic contract as TaskingLayer::retainedBytes().
   std::size_t retainedBytes() const;
 
   /// Re-executes the compiled program once. Blocks until every task
@@ -141,16 +135,10 @@ public:
   void replayBatches(std::size_t numBatches,
                      const BatchStatementExecutor& exec);
 
-  /// Compatibility path: spawns one run through an arbitrary tasking
-  /// backend from the frozen pre-interned slot arrays (per-run
-  /// CreateTask, but no per-run dependency resolution or hashing).
-  void replayThrough(TaskingLayer& layer, const StatementExecutor& exec);
-
   struct Stats {
     std::uint64_t replays = 0;       // replay() calls
     std::uint64_t batches = 0;       // batches streamed via replayBatches
     std::uint64_t linearReplays = 0; // replays served by the linear path
-    std::uint64_t backendReplays = 0; // replayThrough() calls
   };
   const Stats& stats() const { return stats_; }
 
@@ -166,11 +154,6 @@ private:
   unsigned numThreads_ = 1;
   bool linear_ = false;
   rt::ReplayGraph graph_;
-  // replayThrough's dense slot arrays, built by its first call: the
-  // graph's predecessors in createTask's int64 form (offsets are the
-  // graph's), and their all-zero depend indices.
-  std::vector<std::int64_t> flatInSlots_;
-  std::vector<int> flatInIdx_;
   std::unique_ptr<rt::DependencyThreadPool> pool_; // lazily created
   std::unique_ptr<ChannelPipeline> channels_;      // options.channels route
   std::atomic<bool> replaying_{false};

@@ -1,9 +1,9 @@
 #pragma once
 
 // A decorating tasking layer that emits one trace span per executed task
-// into the active trace::Session (src/trace). Unlike TimingLayer it keeps
-// no state of its own: when no session is active the per-task cost is a
-// single relaxed atomic load, so the layer can stay installed permanently.
+// into the active trace::Session (src/trace). It keeps no timing state of
+// its own: when no session is active the per-task cost is a single
+// relaxed atomic load, so the layer can stay installed permanently.
 //
 // The span is named "task" with the creation-order index as its argument,
 // and is recorded on whichever thread the inner backend runs the body —

@@ -1,7 +1,5 @@
 // DetectCache semantics: hit/miss accounting, bit-identical hits, LRU
-// eviction, key separation across detection options (but NOT across
-// numThreads, which is deliberately excluded from the fingerprint), and
-// thread-safety of getOrCompute (exercised under TSAN in CI).
+// eviction, key separation across detection options, and thread-safety of getOrCompute (exercised under TSAN in CI).
 
 #include "kernels/suite.hpp"
 #include "pipeline/detect.hpp"
@@ -91,7 +89,7 @@ TEST(DetectCacheTest, ProblemSizeIsPartOfTheKey) {
   EXPECT_EQ(cache.stats().hits, 0u);
 }
 
-TEST(DetectCacheTest, OptionsSeparateKeysExceptNumThreads) {
+TEST(DetectCacheTest, OptionsSeparateKeys) {
   pipeline::DetectCache cache;
   const scop::Scop scop = program("P4");
 
@@ -110,13 +108,11 @@ TEST(DetectCacheTest, OptionsSeparateKeysExceptNumThreads) {
   relaxed.relaxSameNestOrdering = !base.relaxSameNestOrdering;
   cache.getOrCompute(scop, relaxed); // miss 4
 
-  // numThreads is excluded from the fingerprint: a parallel request must
-  // hit the entry the serial request populated.
-  pipeline::DetectOptions parallel = base;
-  parallel.numThreads = 4;
+  // Equal options share the entry.
+  pipeline::DetectOptions same = base;
   EXPECT_EQ(pipeline::detectFingerprint(scop, base),
-            pipeline::detectFingerprint(scop, parallel));
-  cache.getOrCompute(scop, parallel); // hit
+            pipeline::detectFingerprint(scop, same));
+  cache.getOrCompute(scop, same); // hit
 
   const pipeline::DetectCache::Stats s = cache.stats();
   EXPECT_EQ(s.misses, 4u);
@@ -126,9 +122,7 @@ TEST(DetectCacheTest, OptionsSeparateKeysExceptNumThreads) {
 
 TEST(DetectCacheTest, FingerprintKeyAuditCoversEveryResultAffectingOption) {
   // The audit contract of the fingerprint: every option that can change
-  // the computed PipelineInfo forks the key; the only result-invariant
-  // option (numThreads — bit-identical by the detect_parallel contract)
-  // shares it. A new DetectOptions field must be added to the fingerprint
+  // the computed PipelineInfo forks the key. A new DetectOptions field must be added to the fingerprint
   // (detect_cache.cpp), to this list, and to the size guard below.
   const scop::Scop scop = program("P3");
   const pipeline::DetectOptions base;
@@ -156,10 +150,6 @@ TEST(DetectCacheTest, FingerprintKeyAuditCoversEveryResultAffectingOption) {
   differs([](pipeline::DetectOptions& o) { o.reductionBlocks = 4; },
           "reductionBlocks");
 
-  pipeline::DetectOptions threads = base;
-  threads.numThreads = 8;
-  EXPECT_EQ(ref, pipeline::detectFingerprint(scop, threads));
-
   // Size guard: growing DetectOptions without updating the fingerprint
   // (and the audit above) must not pass silently.
   struct Mirror {
@@ -170,7 +160,6 @@ TEST(DetectCacheTest, FingerprintKeyAuditCoversEveryResultAffectingOption) {
     pipeline::DetectOptions::ParametricMode parametricMode;
     pipeline::DetectOptions::ReductionMode reductionMode;
     std::size_t reductionBlocks;
-    unsigned numThreads;
   };
   static_assert(sizeof(pipeline::DetectOptions) == sizeof(Mirror),
                 "DetectOptions grew: extend detectFingerprint and this audit");

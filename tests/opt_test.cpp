@@ -12,6 +12,7 @@
 #include "kernels/suite.hpp"
 #include "opt/optimizer.hpp"
 #include "scop/builder.hpp"
+#include "support/hash.hpp"
 #include "support/rng.hpp"
 #include "tasking/executor.hpp"
 #include "tasking/replay_executor.hpp"
@@ -27,11 +28,24 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 namespace pipoly {
 namespace {
+
+/// Hashed (idx, tag) -> producing task id: the tests' own resolution,
+/// independent of the producer table the library carries.
+using OutOwnerIndex =
+    std::unordered_map<std::pair<int, std::int64_t>, std::size_t, PairHash>;
+
+OutOwnerIndex buildOutOwnerIndex(const codegen::TaskProgram& program) {
+  OutOwnerIndex owner;
+  for (const codegen::Task& t : program.tasks)
+    owner.emplace(std::make_pair(t.out.idx, t.out.tag), t.id);
+  return owner;
+}
 
 /// A happens-before oracle at *block* granularity: original blocks are
 /// identified by their position in the raw lowering; a block maps into
@@ -42,7 +56,7 @@ public:
     const std::size_t n = program.tasks.size();
     words_ = (n + 63) / 64;
     reach_.assign(n * words_, 0);
-    const codegen::OutOwnerIndex owner = program.buildOutOwnerIndex();
+    const OutOwnerIndex owner = buildOutOwnerIndex(program);
     for (const codegen::Task& t : program.tasks) {
       std::uint64_t* row = &reach_[t.id * words_];
       for (const codegen::TaskDep& d : t.in) {
@@ -265,7 +279,7 @@ void expectExactReduction(const codegen::TaskProgram& original) {
   ASSERT_EQ(reduced.tasks.size(), original.tasks.size());
 
   const BlockClosure closure(original);
-  const codegen::OutOwnerIndex owner = original.buildOutOwnerIndex();
+  const OutOwnerIndex owner = buildOutOwnerIndex(original);
   for (const codegen::Task& t : original.tasks) {
     std::vector<std::size_t> preds;
     for (const codegen::TaskDep& d : t.in)
@@ -451,7 +465,7 @@ TEST(OptTest, SlotTableMatchesProducers) {
   opt::optimize(prog);
   const opt::SlotTable slots = opt::buildSlotTable(prog);
   ASSERT_EQ(slots.numSlots, prog.tasks.size());
-  const codegen::OutOwnerIndex owner = prog.buildOutOwnerIndex();
+  const OutOwnerIndex owner = buildOutOwnerIndex(prog);
   for (const codegen::Task& t : prog.tasks) {
     ASSERT_EQ(slots.inCount(t.id), t.in.size());
     const std::uint32_t* s = slots.inBegin(t.id);

@@ -2,7 +2,7 @@
 // proves that DetectOptions::ParametricMode::Auto (the closed-form route
 // with per-pair fallback) produces a PipelineInfo bit-identical to Off
 // (the legacy route) — over all of Table 9 and hundreds of randomized
-// rectangular/affine-offset SCoPs, serial and parallel, cached and
+// rectangular/affine-offset SCoPs, cached and
 // uncached — and that the route counters and trace instants faithfully
 // record which route fired. The ParamScop side then checks that the
 // N-independent summaries (param_detect.hpp) agree with the explicit
@@ -33,10 +33,9 @@ using pipeline::DetectOptions;
 using Mode = DetectOptions::ParametricMode;
 using pipeline::ParametricFallback;
 
-DetectOptions optionsFor(Mode mode, unsigned threads = 0) {
+DetectOptions optionsFor(Mode mode) {
   DetectOptions opt;
   opt.parametricMode = mode;
-  opt.numThreads = threads;
   return opt;
 }
 
@@ -90,13 +89,13 @@ const std::vector<std::string>& regularPrograms() {
 
 // --- Table 9 ---------------------------------------------------------
 
-TEST(ParametricDetect, Table9BitIdenticalAcrossModesThreadsAndN) {
+TEST(ParametricDetect, Table9BitIdenticalAcrossModesAndN) {
   std::size_t built = 0;
   for (const kernels::ProgramSpec& spec : kernels::table9Programs()) {
     for (pb::Value n : {2, 3, 4, 5, 8, 13, 16, 21, 27, 32}) {
       // Programs with strided reads reject N below their patterns (the
       // clipped nest bound drops under 2); when they build, every mode
-      // and thread count must agree bit for bit.
+      // must agree bit for bit.
       std::optional<scop::Scop> scop;
       try {
         scop.emplace(kernels::buildProgram(spec, n));
@@ -109,13 +108,7 @@ TEST(ParametricDetect, Table9BitIdenticalAcrossModesThreadsAndN) {
           pipeline::detectPipeline(*scop, optionsFor(Mode::Off));
       expectInfoEqual(ref,
                       pipeline::detectPipeline(*scop, optionsFor(Mode::Auto)),
-                      what + " auto/serial");
-      expectInfoEqual(ref,
-                      pipeline::detectPipeline(*scop, optionsFor(Mode::Auto, 4)),
-                      what + " auto/parallel4");
-      expectInfoEqual(ref,
-                      pipeline::detectPipeline(*scop, optionsFor(Mode::Off, 4)),
-                      what + " off/parallel4");
+                      what + " auto");
     }
   }
   EXPECT_GE(built, 70u); // the skip path must stay the exception
@@ -197,21 +190,15 @@ TEST(ParametricDetect, RandomizedDifferentialHarness) {
 
     const pipeline::PipelineInfo ref =
         pipeline::detectPipeline(scop, optionsFor(Mode::Off));
-    const pipeline::PipelineInfo autoSerial =
+    const pipeline::PipelineInfo autoInfo =
         pipeline::detectPipeline(scop, optionsFor(Mode::Auto));
-    expectInfoEqual(ref, autoSerial, what + " auto/serial");
-    expectInfoEqual(ref, pipeline::detectPipeline(scop, optionsFor(Mode::Auto, 4)),
-                    what + " auto/parallel4");
-    if (iter % 4 == 0)
-      expectInfoEqual(ref,
-                      pipeline::detectPipeline(scop, optionsFor(Mode::Off, 4)),
-                      what + " off/parallel4");
+    expectInfoEqual(ref, autoInfo, what + " auto");
 
-    expectStatsConsistent(autoSerial.stats, what);
+    expectStatsConsistent(autoInfo.stats, what);
     const std::size_t n = scop.numStatements();
-    EXPECT_EQ(autoSerial.stats.candidatePairs, n * (n - 1) / 2) << what;
-    totalParametric += autoSerial.stats.parametricPairs;
-    totalFallbacks += autoSerial.stats.fallbackPairs();
+    EXPECT_EQ(autoInfo.stats.candidatePairs, n * (n - 1) / 2) << what;
+    totalParametric += autoInfo.stats.parametricPairs;
+    totalFallbacks += autoInfo.stats.fallbackPairs();
 
     // Force either agrees bit for bit or rejects an irregular pair the
     // Auto stats already know about.
@@ -220,7 +207,7 @@ TEST(ParametricDetect, RandomizedDifferentialHarness) {
                       pipeline::detectPipeline(scop, optionsFor(Mode::Force)),
                       what + " force");
     } catch (const pipoly::Error&) {
-      EXPECT_GT(autoSerial.stats.fallbackPairs(), 0u) << what;
+      EXPECT_GT(autoInfo.stats.fallbackPairs(), 0u) << what;
     }
 
     // Cached results replay the same bits (and the same stats).
@@ -232,7 +219,7 @@ TEST(ParametricDetect, RandomizedDifferentialHarness) {
           cache.getOrCompute(scop, optionsFor(Mode::Auto));
       expectInfoEqual(ref, cold, what + " cache/cold");
       expectInfoEqual(ref, warm, what + " cache/warm");
-      EXPECT_EQ(warm.stats.parametricPairs, autoSerial.stats.parametricPairs)
+      EXPECT_EQ(warm.stats.parametricPairs, autoInfo.stats.parametricPairs)
           << what;
       EXPECT_EQ(cache.stats().hits, 1u) << what;
       EXPECT_EQ(cache.stats().misses, 1u) << what;
@@ -393,9 +380,6 @@ TEST(ParametricDetect, CacheKeySeparatesParametricModes) {
   const scop::Scop scop = kernels::buildProgram(kernels::programByName("P3"), 16);
   EXPECT_NE(pipeline::detectFingerprint(scop, optionsFor(Mode::Off)),
             pipeline::detectFingerprint(scop, optionsFor(Mode::Auto)));
-  // numThreads stays excluded: serial and parallel share entries.
-  EXPECT_EQ(pipeline::detectFingerprint(scop, optionsFor(Mode::Auto)),
-            pipeline::detectFingerprint(scop, optionsFor(Mode::Auto, 4)));
 
   pipeline::DetectCache cache;
   const pipeline::PipelineInfo off = cache.getOrCompute(scop, optionsFor(Mode::Off));

@@ -65,7 +65,7 @@ TEST_P(ReplayEquivalenceTest, ReplayMatchesSequentialAndExecutor) {
     ASSERT_EQ(kernel.fingerprint(), expected);
   }
 
-  CompiledPipeline pipe(prog, CompiledPipeline::Options{threads, true});
+  CompiledPipeline pipe(prog, CompiledPipeline::Options{.numThreads = threads});
   for (int rep = 0; rep < 3; ++rep) {
     testing::InterpretedKernel kernel(scop);
     pipe.replay(kernel.executor());
@@ -95,7 +95,7 @@ TEST(ReplayTable9Test, ReplayBitIdenticalToExecutorOnAllPrograms) {
       ASSERT_EQ(viaExecutor.fingerprint(), expected)
           << spec.name << " opt " << optimized;
 
-      CompiledPipeline pipe(prog, CompiledPipeline::Options{4, true});
+      CompiledPipeline pipe(prog, CompiledPipeline::Options{.numThreads = 4});
       testing::InterpretedKernel viaReplay(scop);
       pipe.replay(viaReplay.executor());
       EXPECT_EQ(viaReplay.fingerprint(), expected)
@@ -105,19 +105,20 @@ TEST(ReplayTable9Test, ReplayBitIdenticalToExecutorOnAllPrograms) {
 }
 
 TEST(ReplayDeterminismTest, ThousandReplaysAreBitIdenticalOnEveryEngine) {
-  // The ISSUE's determinism gate: >= 1000 replays on the serial engine,
-  // the persistent pool and (via replayThrough) the OpenMP backend, with
-  // the optimizer both off and on, all reproducing the sequential
-  // fingerprint bit for bit.
+  // The determinism gate: >= 1000 runs on the serial engine, the
+  // persistent pool and the OpenMP backend (executeTaskProgram over the
+  // prebuilt slot table), with the optimizer both off and on, all
+  // reproducing the sequential fingerprint bit for bit.
   const scop::Scop scop = testing::listing3(8);
   const std::uint64_t expected = testing::sequentialFingerprint(scop);
   constexpr int kReplays = 1000;
 
   for (bool optimized : {false, true}) {
     auto prog = compileShared(scop, optimized);
+    const opt::SlotTable slots = opt::buildSlotTable(*prog);
 
-    CompiledPipeline serial(prog, CompiledPipeline::Options{1, true});
-    CompiledPipeline pooled(prog, CompiledPipeline::Options{4, true});
+    CompiledPipeline serial(prog, CompiledPipeline::Options{.numThreads = 1});
+    CompiledPipeline pooled(prog, CompiledPipeline::Options{.numThreads = 4});
     auto omp = makeOpenMPBackend();
 
     for (int rep = 0; rep < kReplays; ++rep) {
@@ -133,17 +134,13 @@ TEST(ReplayDeterminismTest, ThousandReplaysAreBitIdenticalOnEveryEngine) {
 
       if (omp) {
         kernel.reset();
-        pooled.replayThrough(*omp, kernel.executor());
+        executeTaskProgram(*prog, slots, *omp, kernel.executor());
         ASSERT_EQ(kernel.fingerprint(), expected)
             << "openmp rep " << rep << " opt " << optimized;
       }
     }
     EXPECT_EQ(serial.stats().replays, static_cast<std::uint64_t>(kReplays));
     EXPECT_EQ(pooled.stats().replays, static_cast<std::uint64_t>(kReplays));
-    if (omp) {
-      EXPECT_EQ(pooled.stats().backendReplays,
-                static_cast<std::uint64_t>(kReplays));
-    }
   }
 }
 
@@ -160,7 +157,7 @@ TEST(ReplayStreamTest, EveryStreamedBatchMatchesTheSingleRunFingerprint) {
   for (std::size_t b = 0; b < kBatches; ++b)
     kernels.push_back(std::make_unique<testing::InterpretedKernel>(scop));
 
-  CompiledPipeline pipe(prog, CompiledPipeline::Options{4, true});
+  CompiledPipeline pipe(prog, CompiledPipeline::Options{.numThreads = 4});
   pipe.replayBatches(kBatches, [&](std::size_t batch, std::size_t stmtIdx,
                                    const pb::Tuple& it) {
     kernels[batch]->execute(stmtIdx, it);
@@ -182,7 +179,7 @@ TEST(ReplayStreamTest, BatchesOfOneInstanceArriveInOrder) {
   std::map<std::pair<std::size_t, pb::Tuple>, std::size_t> nextBatch;
   bool violation = false;
 
-  CompiledPipeline pipe(prog, CompiledPipeline::Options{4, true});
+  CompiledPipeline pipe(prog, CompiledPipeline::Options{.numThreads = 4});
   pipe.replayBatches(kBatches, [&](std::size_t batch, std::size_t stmtIdx,
                                    const pb::Tuple& it) {
     std::lock_guard lock(mutex);
@@ -204,7 +201,7 @@ TEST(ReplayStreamTest, StreamOnOneThreadRunsBatchesBackToBack) {
   std::vector<std::unique_ptr<testing::InterpretedKernel>> kernels;
   for (std::size_t b = 0; b < 4; ++b)
     kernels.push_back(std::make_unique<testing::InterpretedKernel>(scop));
-  CompiledPipeline pipe(prog, CompiledPipeline::Options{1, true});
+  CompiledPipeline pipe(prog, CompiledPipeline::Options{.numThreads = 1});
   pipe.replayBatches(4, [&](std::size_t batch, std::size_t stmtIdx,
                             const pb::Tuple& it) {
     kernels[batch]->execute(stmtIdx, it);
@@ -234,7 +231,7 @@ codegen::TaskProgram linearChainProgram(std::size_t n) {
 TEST(ReplayLinearTest, LinearChainTakesTheSerialFastPath) {
   constexpr std::size_t kTasks = 24;
   CompiledPipeline pipe(linearChainProgram(kTasks),
-                        CompiledPipeline::Options{4, true});
+                        CompiledPipeline::Options{.numThreads = 4});
   EXPECT_TRUE(pipe.linear());
 
   // The fast path runs in creation order on the calling thread.
@@ -253,30 +250,10 @@ TEST(ReplayLinearTest, LinearChainTakesTheSerialFastPath) {
   EXPECT_EQ(pipe.stats().linearReplays, 1u);
 }
 
-TEST(ReplayLinearTest, DisabledFastPathStillRunsChainInOrder) {
-  constexpr std::size_t kTasks = 24;
-  CompiledPipeline pipe(linearChainProgram(kTasks),
-                        CompiledPipeline::Options{4, false});
-  EXPECT_TRUE(pipe.linear());
-
-  // Through the graph machinery the chain's dependencies still admit
-  // exactly one order.
-  std::mutex mutex;
-  std::vector<pb::Value> order;
-  pipe.replay([&](std::size_t, const pb::Tuple& it) {
-    std::lock_guard lock(mutex);
-    order.push_back(it[0]);
-  });
-  ASSERT_EQ(order.size(), kTasks);
-  for (std::size_t i = 0; i < kTasks; ++i)
-    EXPECT_EQ(order[i], static_cast<pb::Value>(i));
-  EXPECT_EQ(pipe.stats().linearReplays, 0u);
-}
-
 TEST(ReplayLinearTest, PipelineProgramsAreNotMisdetectedAsLinear) {
   const scop::Scop scop = testing::listing1(12);
   CompiledPipeline pipe(compileShared(scop, false),
-                        CompiledPipeline::Options{4, true});
+                        CompiledPipeline::Options{.numThreads = 4});
   // Listing 1 has two statements with cross-statement dependencies — a
   // real DAG, not a single chain.
   EXPECT_FALSE(pipe.linear());
@@ -291,7 +268,7 @@ TEST(ReplayLifetimeTest, PipelineOutlivesTheCallersProgramHandle) {
   const std::uint64_t expected = testing::sequentialFingerprint(scop);
 
   auto prog = compileShared(scop, true);
-  CompiledPipeline shared(prog, CompiledPipeline::Options{4, true});
+  CompiledPipeline shared(prog, CompiledPipeline::Options{.numThreads = 4});
   prog.reset(); // pipeline keeps the only reference now
   testing::InterpretedKernel kernel(scop);
   shared.replay(kernel.executor());
@@ -300,7 +277,7 @@ TEST(ReplayLifetimeTest, PipelineOutlivesTheCallersProgramHandle) {
   codegen::TaskProgram byValue = codegen::compilePipeline(scop);
   opt::optimize(byValue);
   CompiledPipeline owned(std::move(byValue),
-                         CompiledPipeline::Options{4, true});
+                         CompiledPipeline::Options{.numThreads = 4});
   kernel.reset();
   owned.replay(kernel.executor());
   EXPECT_EQ(kernel.fingerprint(), expected);
@@ -315,7 +292,8 @@ TEST(ReplaySlotTableTest, PrebuiltSlotTableGivesIdenticalReplays) {
   auto prog = compileShared(scop, true);
   const opt::SlotTable slots = opt::buildSlotTable(*prog);
 
-  CompiledPipeline pipe(prog, slots, CompiledPipeline::Options{4, true});
+  CompiledPipeline pipe(prog, slots,
+                        CompiledPipeline::Options{.numThreads = 4});
   testing::InterpretedKernel kernel(scop);
   pipe.replay(kernel.executor());
   EXPECT_EQ(kernel.fingerprint(), expected);
@@ -327,7 +305,7 @@ TEST(ReplaySlotTableTest, PrebuiltSlotTableGivesIdenticalReplays) {
 
 TEST(ReplayEdgeCaseTest, EmptyProgramAndZeroBatchesAreNoOps) {
   CompiledPipeline pipe(codegen::TaskProgram{},
-                        CompiledPipeline::Options{4, true});
+                        CompiledPipeline::Options{.numThreads = 4});
   int calls = 0;
   pipe.replay([&](std::size_t, const pb::Tuple&) { ++calls; });
   pipe.replayBatches(8, [&](std::size_t, std::size_t, const pb::Tuple&) {
@@ -336,7 +314,7 @@ TEST(ReplayEdgeCaseTest, EmptyProgramAndZeroBatchesAreNoOps) {
   EXPECT_EQ(calls, 0);
 
   CompiledPipeline real(compileShared(testing::listing1(8), true),
-                        CompiledPipeline::Options{4, true});
+                        CompiledPipeline::Options{.numThreads = 4});
   real.replayBatches(0,
                      [&](std::size_t, std::size_t, const pb::Tuple&) {
                        ++calls;
@@ -382,26 +360,6 @@ TEST(ReplayEdgeCaseTest, ExceptionsFromTheExecutorPropagateAndClearState) {
       kernel.reset();
       pipe.replay(kernel.executor());
       EXPECT_EQ(kernel.fingerprint(), expected);
-    }
-  }
-}
-
-TEST(ReplayThroughTest, BackendPathMatchesOnEveryBackend) {
-  const scop::Scop scop = testing::listing3(10);
-  const std::uint64_t expected = testing::sequentialFingerprint(scop);
-  for (bool optimized : {false, true}) {
-    CompiledPipeline pipe(compileShared(scop, optimized),
-                          CompiledPipeline::Options{4, true});
-    std::vector<std::unique_ptr<TaskingLayer>> layers;
-    layers.push_back(makeSerialBackend());
-    layers.push_back(makeThreadPoolBackend(4));
-    if (auto omp = makeOpenMPBackend())
-      layers.push_back(std::move(omp));
-    for (auto& layer : layers) {
-      testing::InterpretedKernel kernel(scop);
-      pipe.replayThrough(*layer, kernel.executor());
-      EXPECT_EQ(kernel.fingerprint(), expected)
-          << layer->name() << " opt " << optimized;
     }
   }
 }

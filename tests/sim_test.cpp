@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -83,6 +84,37 @@ TEST(SimulatorTest, MakespanAtLeastCriticalPath) {
   for (unsigned workers : {1u, 2u, 8u}) {
     SimResult r = simulate(prog, m, SimConfig{workers});
     EXPECT_GE(r.makespan, r.criticalPath - 1e-9);
+  }
+}
+
+TEST(SimulatorTest, InDependencyOnALaterTaskIsRejected) {
+  // A hand-assembled program whose first task waits for the second one's
+  // out tag: no creation-order schedule exists. The tag-path simulate()
+  // resolves through opt::buildSlotTable and fails with its error.
+  codegen::TaskProgram prog;
+  prog.numStatements = 1;
+  for (std::size_t i = 0; i < 2; ++i) {
+    codegen::Task task;
+    task.id = i;
+    task.blockRep = pb::Tuple{static_cast<pb::Value>(i)};
+    task.iterations = {task.blockRep};
+    task.out = {0, static_cast<std::int64_t>(i)};
+    prog.tasks.push_back(std::move(task));
+  }
+  prog.tasks[0].in = {{0, 1, false}};
+
+  std::string expected;
+  try {
+    (void)opt::buildSlotTable(prog);
+  } catch (const Error& e) {
+    expected = e.what();
+  }
+  ASSERT_NE(expected.find("later task"), std::string::npos) << expected;
+  try {
+    (void)simulate(prog, uniformModel(1, 1.0), SimConfig{2});
+    ADD_FAILURE() << "simulate accepted a dependency on a later task";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()), expected);
   }
 }
 
