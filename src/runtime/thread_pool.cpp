@@ -174,13 +174,6 @@ std::size_t ReplayGraph::storageBytes() const {
   return bytes;
 }
 
-DependencyThreadPool::DepEdge* DependencyThreadPool::sealedTag() {
-  // Distinct, never-dereferenced sentinel marking a finished task's
-  // dependent list.
-  static DepEdge sealed;
-  return &sealed;
-}
-
 DependencyThreadPool::DependencyThreadPool(unsigned numThreads) {
   numThreads = std::max(1u, numThreads);
   // Wake throttle (see shouldWake). Oversubscribed pools keep their
@@ -202,71 +195,10 @@ DependencyThreadPool::DependencyThreadPool(unsigned numThreads) {
 }
 
 DependencyThreadPool::~DependencyThreadPool() {
-  // Drain, but swallow unreported task errors: a destructor must not
-  // throw (the old scheduler rethrew here and would have terminated).
-  {
-    std::unique_lock lock(doneMutex_);
-    doneCv_.wait(lock,
-                 [&] { return pending_.load(std::memory_order_acquire) == 0; });
-  }
+  // runGraph() returns only once its run drained, so no work is left.
   shutdown_.store(true, std::memory_order_release);
   idle_.notifyAll();
   // jthread joins on destruction.
-}
-
-DependencyThreadPool::TaskId
-DependencyThreadPool::submit(std::function<void()> fn,
-                             std::span<const TaskId> deps) {
-  // Validate against the published id horizon *before* reserving a node,
-  // so a rejected submit leaves no half-armed task behind. Any id >= the
-  // current count cannot come from a submit() that happened-before this
-  // one: it is a self-, forward- or out-of-range dependency.
-  const std::size_t horizon = nodes_.size();
-  for (TaskId dep : deps)
-    PIPOLY_CHECK_MSG(dep < horizon,
-                     "dependency on a not-yet-submitted task (self-, forward- "
-                     "or out-of-range id)");
-
-  const TaskId id = nodes_.allocate();
-  Node& node = nodes_[id];
-  node.fn = std::move(fn);
-  pending_.fetch_add(1, std::memory_order_relaxed);
-
-  if (deps.empty()) {
-    // Independent task: no registration window to guard, ready now.
-    node.remaining.store(0, std::memory_order_relaxed);
-    makeReady(id);
-    return id;
-  }
-
-  // +1 guard: the task cannot fire while registration is in progress,
-  // even if every predecessor finishes concurrently.
-  node.remaining.store(deps.size() + 1, std::memory_order_relaxed);
-
-  std::size_t alreadyDone = 1; // the guard
-  for (TaskId dep : deps) {
-    DepEdge& edge = edges_[edges_.allocate()];
-    edge.dependent = id;
-    if (!registerDependent(nodes_[dep], edge))
-      ++alreadyDone; // predecessor already finished
-  }
-  if (node.remaining.fetch_sub(alreadyDone, std::memory_order_acq_rel) ==
-      alreadyDone)
-    makeReady(id);
-  return id;
-}
-
-bool DependencyThreadPool::registerDependent(Node& pred, DepEdge& edge) {
-  DepEdge* head = pred.dependents.load(std::memory_order_acquire);
-  while (true) {
-    if (head == sealedTag())
-      return false;
-    edge.next = head;
-    if (pred.dependents.compare_exchange_weak(head, &edge,
-                                              std::memory_order_release,
-                                              std::memory_order_acquire))
-      return true;
-  }
 }
 
 bool DependencyThreadPool::shouldWake(std::size_t searchingAllowance) const {
@@ -287,13 +219,13 @@ bool DependencyThreadPool::shouldWake(std::size_t searchingAllowance) const {
   return workers_.size() - asleep < wakeCap_;
 }
 
-void DependencyThreadPool::makeReady(TaskId id) {
+void DependencyThreadPool::makeReady(Task task) {
   if (tlsBinding.pool == this) {
     // On a worker thread of this pool: push to its own deque (only the
     // owner may push). Thieves pick it up if this worker stays busy.
     Worker& me = *workers_[tlsBinding.index];
     const bool hadBacklog = me.deque.sizeApprox() > 0;
-    me.deque.push(id);
+    me.deque.push(task);
     // An empty deque means this worker will pop the task itself as soon
     // as it returns to its loop — waking a sibling for it would only
     // burn a futex. With backlog there is real parallel slack, so wake
@@ -302,52 +234,13 @@ void DependencyThreadPool::makeReady(TaskId id) {
       idle_.notifyOne();
   } else {
     {
-      InjectionShard& shard = *injection_[id % injection_.size()];
+      InjectionShard& shard = *injection_[task % injection_.size()];
       std::lock_guard lock(shard.mutex);
-      shard.queue.push_back(id);
+      shard.queue.push_back(task);
       shard.count.store(shard.queue.size(), std::memory_order_seq_cst);
     }
     if (shouldWake())
       idle_.notifyOne();
-  }
-}
-
-void DependencyThreadPool::runTask(TaskId id) {
-  if (id & kGraphFlag) {
-    runGraphTask(id);
-    return;
-  }
-  Node& node = nodes_[id];
-  // Release the closure eagerly: nodes live for the pool's lifetime,
-  // captured state should not.
-  std::function<void()> fn = std::move(node.fn);
-  node.fn = nullptr;
-  try {
-    fn();
-  } catch (...) {
-    std::lock_guard lock(errorMutex_);
-    if (!firstError_)
-      firstError_ = std::current_exception();
-  }
-  finishTask(id);
-}
-
-void DependencyThreadPool::finishTask(TaskId id) {
-  Node& node = nodes_[id];
-  // Seal the dependent list: registrations racing with this exchange
-  // either made it onto the list (we publish them below) or observe the
-  // sentinel and count the dependency as satisfied.
-  DepEdge* head = node.dependents.exchange(sealedTag(),
-                                           std::memory_order_acq_rel);
-  for (DepEdge* e = head; e != nullptr; e = e->next)
-    if (nodes_[e->dependent].remaining.fetch_sub(
-            1, std::memory_order_acq_rel) == 1)
-      makeReady(e->dependent);
-  if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Empty critical section pairs with waitAll()'s predicate check so
-    // the notify cannot slip between its pending_ load and its sleep.
-    std::lock_guard lock(doneMutex_);
-    doneCv_.notify_all();
   }
 }
 
@@ -356,12 +249,12 @@ void DependencyThreadPool::sendGraphToken(ReplayGraph& graph,
                                           std::size_t batch) {
   std::atomic<std::uint32_t>& counter = graph.counters_[node].slot[batch & 1];
   if (counter.fetch_sub(1, std::memory_order_acq_rel) == 1)
-    makeReady(encodeGraphTask(node, batch));
+    makeReady(encodeTask(node, batch));
 }
 
-void DependencyThreadPool::runGraphTask(TaskId id) {
-  const auto node = static_cast<ReplayGraph::NodeId>(id & 0xffffffffu);
-  const std::size_t batch = (id & ~kGraphFlag) >> 32;
+void DependencyThreadPool::runTask(Task task) {
+  const auto node = static_cast<ReplayGraph::NodeId>(task & 0xffffffffu);
+  const std::size_t batch = task >> 32;
   ReplayGraph& graph = *graph_;
 
   // Re-arm this node's parity slot for batch + 2 before the body runs:
@@ -469,7 +362,7 @@ void DependencyThreadPool::runGraph(ReplayGraph& graph, std::size_t numBatches,
   // Publish: the injection-shard mutex inside makeReady orders all the
   // plain stores above before any worker touches a graph task.
   for (ReplayGraph::NodeId root : graph.roots_)
-    makeReady(encodeGraphTask(root, 0));
+    makeReady(encodeTask(root, 0));
 
   {
     std::unique_lock lock(doneMutex_);
@@ -492,7 +385,7 @@ void DependencyThreadPool::runGraph(ReplayGraph& graph, std::size_t numBatches,
 }
 
 bool DependencyThreadPool::tryDrainInjection(unsigned self, std::size_t shard,
-                                             TaskId& out) {
+                                             Task& out) {
   // Drain a batch in one lock acquisition: the first task is returned,
   // the rest go to this worker's deque where siblings can steal them.
   constexpr std::size_t kBatch = 32;
@@ -526,10 +419,10 @@ bool DependencyThreadPool::tryDrainInjection(unsigned self, std::size_t shard,
   return true;
 }
 
-bool DependencyThreadPool::tryFindWork(unsigned self, TaskId& out) {
+bool DependencyThreadPool::tryFindWork(unsigned self, Task& out) {
   Worker& me = *workers_[self];
   // 1. Own deque, newest first (cache-warm dependents).
-  if (std::optional<TaskId> t = me.deque.pop()) {
+  if (std::optional<Task> t = me.deque.pop()) {
     out = *t;
     return true;
   }
@@ -547,12 +440,12 @@ bool DependencyThreadPool::tryFindWork(unsigned self, TaskId& out) {
       const std::size_t victim = (start + k) % n;
       if (victim == self)
         continue;
-      if (std::optional<TaskId> t = workers_[victim]->deque.steal()) {
+      if (std::optional<Task> t = workers_[victim]->deque.steal()) {
         // Batch: grab a few more while the victim is hot, amortizing
         // the sweep. Extras go to our own deque (stealable again).
         ++me.steals;
         for (int extra = 0; extra < 7; ++extra) {
-          std::optional<TaskId> more = workers_[victim]->deque.steal();
+          std::optional<Task> more = workers_[victim]->deque.steal();
           if (!more)
             break;
           me.deque.push(*more);
@@ -571,13 +464,13 @@ void DependencyThreadPool::workerLoop(unsigned index) {
   tlsBinding = TlsBinding{this, index};
   trace::setThreadName("pool worker " + std::to_string(index));
   Worker& me = *workers_[index];
-  TaskId task = 0;
+  Task task = 0;
   while (true) {
     // Fast path: drain the own deque without touching the searching_
     // gate. A worker with local work never suppresses producer wakeups
     // (it does not announce itself as sweeping), so the gate's
     // invariant is untouched.
-    if (std::optional<TaskId> t = me.deque.pop()) {
+    if (std::optional<Task> t = me.deque.pop()) {
       runTask(*t);
       continue;
     }
@@ -610,21 +503,6 @@ void DependencyThreadPool::workerLoop(unsigned index) {
     if (shutdown_.load(std::memory_order_acquire))
       return;
   }
-}
-
-void DependencyThreadPool::waitAll() {
-  {
-    std::unique_lock lock(doneMutex_);
-    doneCv_.wait(lock,
-                 [&] { return pending_.load(std::memory_order_acquire) == 0; });
-  }
-  std::exception_ptr error;
-  {
-    std::lock_guard lock(errorMutex_);
-    error = std::exchange(firstError_, nullptr);
-  }
-  if (error)
-    std::rethrow_exception(error);
 }
 
 } // namespace pipoly::rt

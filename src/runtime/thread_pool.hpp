@@ -1,51 +1,35 @@
 #pragma once
 
-// A dependency-tracking thread pool: tasks are submitted with explicit
-// predecessor task ids and become runnable once all predecessors have
-// finished. This is the substrate of the thread-pool tasking backend —
-// the "other tasking platform" the paper's §7 anticipates plugging in
-// beneath its language-agnostic CreateTask layer.
+// A work-stealing thread pool that executes frozen dependency graphs
+// (ReplayGraph, below). It is the substrate of both the replay executor
+// (tasking::CompiledPipeline) and the thread-pool tasking backend — the
+// "other tasking platform" the paper's §7 anticipates plugging in beneath
+// its language-agnostic CreateTask layer. There is one task model: a
+// (node, batch) execution of a graph whose edges were fixed before the
+// run started, released by per-node atomic join counters.
 //
-// Since the work-stealing rewrite the scheduler is lock-free on the hot
-// path:
+// The scheduler is lock-free on the hot path:
 //
 //   * Per-worker Chase–Lev deques (work_steal_deque.hpp). A task made
 //     runnable by a worker goes to that worker's own deque bottom
 //     (LIFO, cache-warm); idle workers steal from the top of victims'
 //     deques in randomized sweep order, so the oldest — typically
 //     largest — subgraphs migrate first.
-//   * Tasks submitted from outside the pool land in per-worker-indexed
-//     injection shards (small mutexed queues, sharded by task id), which
-//     workers drain alongside their deques.
-//   * Task nodes and dependency edges live in grow-only slabs
-//     (chunked_slab.hpp): submit() is an atomic id reservation plus
-//     per-predecessor CAS registration — no global lock, no per-task
-//     unique_ptr churn, ids stay valid for the pool's lifetime.
-//   * Each node carries an atomic countdown of unfinished predecessors
-//     plus a +1 submission guard; finish() seals the node's dependent
-//     list with a sentinel exchange, so a racing late registration
-//     either enqueues onto the live list or observes "already done" —
-//     never both, never blocked.
+//   * The graph's roots are released from the calling thread into
+//     per-worker-indexed injection shards (small mutexed queues, sharded
+//     by node), which workers drain alongside their deques.
 //   * Idle workers park on an event count (event_count.hpp): producers
-//     pay one atomic load when nobody sleeps, instead of the old
-//     broadcast over every worker on every finished task.
+//     pay one atomic load when nobody sleeps, instead of a broadcast
+//     over every worker on every finished task.
 //
 // Contracts:
-//   * submit() is thread-safe against itself and against workers; in
-//     particular a task body may submit follow-up tasks (nested blocks
-//     in the pipeline blocking maps need this). A dependency must be an
-//     id obtained from a submit() that happened-before this one —
-//     anything else (self, forward, out-of-range ids) throws
-//     pipoly::Error and leaves the pool usable.
-//   * waitAll() returns when every task whose submission happened-before
-//     the call (including tasks those tasks spawned) has finished. It
-//     rethrows the first exception recorded from a task body and resets
-//     it; the pool stays usable. A failed task's dependents still run —
-//     errors are reported, never used to cancel the graph.
-//   * The destructor drains outstanding work but swallows unreported
-//     task errors (destructors must not throw).
+//   * runGraph() runs one graph at a time per pool, and never from
+//     inside a task body (that would deadlock; checked).
+//   * The first exception thrown by a body is rethrown by runGraph()
+//     after the run drained; a failed node's dependents still run —
+//     errors are reported, never used to cancel the graph. The pool
+//     stays usable.
 
-#include "runtime/chunked_slab.hpp"
 #include "runtime/event_count.hpp"
 #include "runtime/work_steal_deque.hpp"
 #include "support/rng.hpp"
@@ -55,7 +39,6 @@
 #include <cstddef>
 #include <deque>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -211,8 +194,6 @@ private:
 
 class DependencyThreadPool {
 public:
-  using TaskId = std::size_t;
-
   /// Spawns `numThreads` workers (at least 1).
   explicit DependencyThreadPool(unsigned numThreads);
   ~DependencyThreadPool();
@@ -220,52 +201,29 @@ public:
   DependencyThreadPool(const DependencyThreadPool&) = delete;
   DependencyThreadPool& operator=(const DependencyThreadPool&) = delete;
 
-  /// Submits a task that may start only after all `deps` have finished.
-  /// Dependencies must be ids returned by submit() calls that
-  /// happened-before this one; violations throw pipoly::Error.
-  /// Thread-safe: may be called concurrently from any thread, including
-  /// from inside running task bodies.
-  TaskId submit(std::function<void()> fn, std::span<const TaskId> deps);
-
-  /// Blocks until every submitted task has finished. Rethrows the first
-  /// exception thrown by a task body, if any.
-  void waitAll();
-
   /// Executes a frozen ReplayGraph `numBatches` times on the pool's
   /// workers and blocks until every (node, batch) execution finished.
   /// Per run the cost is one relaxed counter store per node plus the
-  /// token traffic along the edges — no submit(), no node allocation, no
-  /// dependent registration. Batches are pipelined under the constraints
+  /// token traffic along the edges — no node allocation, no dependent
+  /// registration. Batches are pipelined under the constraints
   /// documented on ReplayGraph. The first exception thrown by a body is
-  /// rethrown after the run drains (mirroring waitAll: a failed node's
-  /// dependents still execute).
+  /// rethrown after the run drains (a failed node's dependents still
+  /// execute).
   ///
   /// Contract: one graph run at a time per pool, never from inside a
-  /// task body, and no interleaved submit() traffic during the run.
+  /// task body.
   void runGraph(ReplayGraph& graph, std::size_t numBatches,
                 ReplayGraph::Body body, void* context);
 
   unsigned numThreads() const { return static_cast<unsigned>(workers_.size()); }
 
 private:
-  struct DepEdge {
-    TaskId dependent = 0;
-    DepEdge* next = nullptr;
-  };
-
-  struct alignas(64) Node {
-    std::function<void()> fn;
-    // Unfinished predecessors + 1 submission guard; the task is
-    // runnable when this hits 0.
-    std::atomic<std::size_t> remaining{0};
-    // Intrusive list of registered dependents; sealedTag() once the
-    // task has finished.
-    std::atomic<DepEdge*> dependents{nullptr};
-  };
+  /// A runnable (node, batch) execution: batch in the high 32 bits.
+  using Task = std::uint64_t;
 
   struct Worker {
     explicit Worker(std::uint64_t seed) : rng(seed) {}
-    WorkStealDeque<TaskId> deque;
+    WorkStealDeque<Task> deque;
     SplitMix64 rng; // victim-selection randomness, owner-thread only
     // Cumulative successful steals, owner-thread only; sampled into the
     // "pool.steals" trace counter when a trace session is active.
@@ -274,42 +232,31 @@ private:
 
   struct InjectionShard {
     std::mutex mutex;
-    std::deque<TaskId> queue;
+    std::deque<Task> queue;
     // queue.size(), republished after every mutation; lets sweepers skip
     // empty shards without taking the lock (seq_cst on both sides so the
     // parking recheck cannot miss a push — see shouldWake()).
     std::atomic<std::size_t> count{0};
   };
 
-  /// Graph executions travel through the same deques/injection shards as
-  /// ordinary tasks, distinguished by the top TaskId bit; the remaining
-  /// bits encode (batch, node). Ordinary slab ids never reach the flag.
-  static constexpr TaskId kGraphFlag = TaskId(1) << 63;
   static constexpr std::size_t kMaxGraphBatches = std::size_t(1) << 30;
 
-  static TaskId encodeGraphTask(ReplayGraph::NodeId node, std::size_t batch) {
-    return kGraphFlag | (static_cast<TaskId>(batch) << 32) | node;
+  static Task encodeTask(ReplayGraph::NodeId node, std::size_t batch) {
+    return (static_cast<Task>(batch) << 32) | node;
   }
 
-  static DepEdge* sealedTag();
   bool shouldWake(std::size_t searchingAllowance = 0) const;
-  bool registerDependent(Node& pred, DepEdge& edge);
-  void makeReady(TaskId id);
-  void runTask(TaskId id);
-  void finishTask(TaskId id);
-  void runGraphTask(TaskId id);
+  void makeReady(Task task);
+  void runTask(Task task);
   void sendGraphToken(ReplayGraph& graph, ReplayGraph::NodeId node,
                       std::size_t batch);
-  bool tryFindWork(unsigned self, TaskId& out);
-  bool tryDrainInjection(unsigned self, std::size_t shard, TaskId& out);
+  bool tryFindWork(unsigned self, Task& out);
+  bool tryDrainInjection(unsigned self, std::size_t shard, Task& out);
   void workerLoop(unsigned index);
 
-  ChunkedSlab<Node> nodes_;
-  ChunkedSlab<DepEdge> edges_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::unique_ptr<InjectionShard>> injection_;
 
-  std::atomic<std::size_t> pending_{0}; // submitted but not finished
   // Workers currently sweeping for work. Producers skip the wakeup when
   // a sweep is in flight: the sweeper's post-announcement recheck (see
   // workerLoop) is guaranteed to observe freshly published work, so the
@@ -323,12 +270,12 @@ private:
   // other than their declared dependencies — waiting between tasks must
   // go through deps, which the contract already requires.
   unsigned wakeCap_ = 1;
-  std::mutex doneMutex_; // waitAll() parking, cold
+  std::mutex doneMutex_; // runGraph() parking, cold
   std::condition_variable doneCv_;
 
   // Active runGraph() state. Written by the (single) runGraph caller
   // before the roots are published and read by workers only while they
-  // hold a graph-flagged task, so the publication happens-before every
+  // hold one of its tasks, so the publication happens-before every
   // read (injection-shard mutex / deque seq_cst handoff).
   ReplayGraph* graph_ = nullptr;
   ReplayGraph::Body graphBody_ = nullptr;

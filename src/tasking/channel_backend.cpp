@@ -776,7 +776,7 @@ private:
   }
 
   void reset() {
-    // Reuse-or-release, mirroring the threadpool backend: keep the
+    // Reuse-or-release (TaskingLayer::retainedBytes): keep the
     // high-water capacity for steady-state replays, release it once a
     // run needs much less than what is retained.
     const std::size_t usedRecs = recs_.size();

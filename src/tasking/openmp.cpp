@@ -108,7 +108,7 @@ public:
 #pragma omp single
     spawner();
     inRegion_ = false;
-    // Reuse-or-release (mirrors the threadpool backend): clear for the
+    // Reuse-or-release (TaskingLayer::retainedBytes): clear for the
     // next run, but release the backing storage once the retained
     // capacity exceeds twice what this run used, so one oversized
     // program does not pin its high-water memory across thousands of

@@ -4,9 +4,9 @@
 //
 // executeTaskProgram() re-resolves the whole dependency graph on every
 // call — per run it hashes every (idx, tag) pair (or walks the slot
-// table), copies every TaskLaunch input buffer, allocates pool nodes and
-// registers dependent edges, and on the threadpool backend even spins up
-// a fresh DependencyThreadPool. For a compiler that executes a program
+// table), copies every TaskLaunch input buffer, and on the threadpool
+// backend builds and freezes a fresh rt::ReplayGraph and spins up a
+// fresh DependencyThreadPool. For a compiler that executes a program
 // once that is fine; for server/streaming workloads that run the same
 // compiled pipeline over thousands of data batches the compile cost is
 // paid per batch (the ROADMAP's "Persistent pipeline executor" item).

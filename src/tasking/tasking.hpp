@@ -15,17 +15,20 @@
 //   * `input` is copied (inputSize bytes); the copy is released after the
 //     task body ran. inputSize == 0 is valid (input may then be null; the
 //     body receives an unspecified, possibly null pointer);
-//   * tasks must be created from inside run() — from the spawner (the
+//   * tasks must be created from inside run(), by the spawner (the
 //     analogue of the `omp parallel` + `omp single` region the generated
-//     code uses) or, on the threadpool backend, also from running task
-//     bodies (createTask is thread-safe there; serial runs bodies on the
-//     spawner thread so nested creation is trivially safe, and the
-//     openmp backend requires creation from the single region only).
+//     code uses). The threadpool backend records the spawner's tasks and
+//     runs them once it returns, so a createTask from a running task
+//     body throws pipoly::Error there and run() rethrows it; the openmp
+//     backend likewise requires creation from the single region. Only
+//     serial, which runs bodies on the spawner thread, tolerates nested
+//     creation.
 //
 // Three backends implement the interface — the paper's §7 portability
 // claim made concrete:
 //   * serial      — creation order execution (reference semantics);
-//   * threadpool  — our dependency-tracking thread pool;
+//   * threadpool  — the recorded program as one frozen graph on our
+//                   work-stealing pool (runtime/thread_pool.hpp);
 //   * openmp      — real OpenMP tasks with depend clauses, including the
 //                   iterator-based variable-length in-dependency list.
 

@@ -4,12 +4,9 @@
 #include "support/assert.hpp"
 #include "support/hash.hpp"
 
-#include <algorithm>
-#include <array>
 #include <cstddef>
 #include <cstring>
 #include <limits>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -17,14 +14,13 @@ namespace pipoly::tasking {
 
 namespace {
 
-// The work-stealing DependencyThreadPool accepts submissions from any
-// thread (task bodies included), and this backend matches that contract:
-// createTask() may be called concurrently from the spawner and from
-// running task bodies. The last-writer slot table is the only shared
-// mutable state; a mutex held across resolve + submit + publish keeps
-// each createTask's depend semantics atomic (concurrent publishers of
-// the same slot race only in program order, exactly as OpenMP's
-// last-writer rule does).
+// The backend records the program while the spawner runs and executes
+// it afterwards as one frozen rt::ReplayGraph — the same task model the
+// replay executor uses. Each createTask resolves its in-dependencies to
+// the last writer of each slot (OpenMP depend semantics), which is always
+// an earlier record, so creation order is the graph's topological order.
+// The spawner is the only creator: a createTask from a running task body
+// throws, and run() rethrows it once the graph drained.
 //
 // Slot resolution has two tiers: when the caller announced interned
 // dense slots (reserveDependencySlots, the src/opt slot table), the
@@ -37,122 +33,112 @@ public:
   std::string_view name() const override { return "threadpool"; }
 
   void reserveDependencySlots(std::size_t numSlots) override {
-    PIPOLY_CHECK_MSG(pool_ != nullptr,
+    PIPOLY_CHECK_MSG(recording_ != nullptr,
                      "reserveDependencySlots outside of run()");
-    std::lock_guard lock(lastWriterMutex_);
-    denseWriter_.assign(numSlots, kNoWriter);
+    recording_->denseWriter.assign(numSlots, kNoWriter);
   }
 
   void createTask(TaskFunction f, const void* input, std::size_t inputSize,
                   std::int64_t outDepend, int outIdx,
                   const std::int64_t* inDepend, const int* inIdx,
                   std::size_t dependNum) override {
-    PIPOLY_CHECK_MSG(pool_ != nullptr, "createTask outside of run()");
+    PIPOLY_CHECK_MSG(recording_ != nullptr, "createTask outside of run()");
+    Recording& rec = *recording_;
+    PIPOLY_CHECK_MSG(!rec.graph.frozen(),
+                     "createTask from a running task body: the threadpool "
+                     "backend takes tasks from the spawner only");
     PIPOLY_CHECK_MSG(input != nullptr || inputSize == 0,
                      "null task input with non-zero size");
 
-    std::lock_guard lock(lastWriterMutex_);
-
-    // Resolve in-dependencies against the last writer of each slot
-    // (OpenMP depend semantics). Unpublished slots are ready.
-    std::vector<rt::DependencyThreadPool::TaskId> deps;
-    deps.reserve(dependNum);
+    rec.deps.clear();
     for (std::size_t k = 0; k < dependNum; ++k) {
-      if (isDense(inIdx[k], inDepend[k])) {
-        const auto id = denseWriter_[static_cast<std::size_t>(inDepend[k])];
-        if (id != kNoWriter)
-          deps.push_back(id);
-      } else {
-        auto it = lastWriter_.find({inIdx[k], inDepend[k]});
-        if (it != lastWriter_.end())
-          deps.push_back(it->second);
-      }
+      const NodeId writer =
+          rec.isDense(inIdx[k], inDepend[k])
+              ? rec.denseWriter[static_cast<std::size_t>(inDepend[k])]
+              : rec.hashedWriter(inIdx[k], inDepend[k]);
+      if (writer != kNoWriter)
+        rec.deps.push_back(writer);
     }
+    const NodeId id = rec.graph.addNode(rec.deps);
 
-    rt::DependencyThreadPool::TaskId id;
-    if (inputSize <= sizeof(InlinePayload)) {
-      // Common case (the executor and timing layer pass pointer-sized
-      // structs): carry the copy inside the closure itself instead of a
-      // heap-allocated buffer. inputSize == 0 lands here with a null
-      // input allowed — nothing is copied and f receives the (unused)
-      // payload storage.
-      InlinePayload payload{};
-      if (inputSize > 0)
-        std::memcpy(payload.bytes.data(), input, inputSize);
-      id = pool_->submit([f, payload]() mutable { f(payload.bytes.data()); },
-                         deps);
-    } else {
-      auto copy = std::make_shared<std::vector<std::byte>>(inputSize);
-      std::memcpy(copy->data(), input, inputSize);
-      id = pool_->submit([f, copy = std::move(copy)] { f(copy->data()); },
-                         deps);
-    }
-    if (isDense(outIdx, outDepend))
-      denseWriter_[static_cast<std::size_t>(outDepend)] = id;
+    // Fig. 8's memcpy: the input is copied into the run's payload buffer
+    // at a max_align_t boundary, so the body may cast it to its struct.
+    // A zero-size input (null `input` allowed) copies nothing.
+    constexpr std::size_t kAlign = alignof(std::max_align_t);
+    static_assert(__STDCPP_DEFAULT_NEW_ALIGNMENT__ >= kAlign);
+    const std::size_t offset =
+        (rec.payload.size() + kAlign - 1) / kAlign * kAlign;
+    rec.payload.resize(offset + inputSize);
+    if (inputSize > 0)
+      std::memcpy(rec.payload.data() + offset, input, inputSize);
+    rec.records.push_back({f, offset});
+
+    if (rec.isDense(outIdx, outDepend))
+      rec.denseWriter[static_cast<std::size_t>(outDepend)] = id;
     else
-      lastWriter_[{outIdx, outDepend}] = id;
+      rec.lastWriter[{outIdx, outDepend}] = id;
   }
 
   void run(const std::function<void()>& spawner) override {
-    rt::DependencyThreadPool pool(numThreads_);
-    pool_ = &pool;
+    PIPOLY_CHECK_MSG(recording_ == nullptr,
+                     "nested run() on one threadpool backend");
+    Recording rec;
+    recording_ = &rec;
     try {
       spawner();
-      pool.waitAll();
+      rec.graph.freeze();
+      if (rec.graph.size() > 0) {
+        rt::DependencyThreadPool pool(numThreads_);
+        pool.runGraph(rec.graph, 1, &runRecord, &rec);
+      }
     } catch (...) {
-      reset();
+      recording_ = nullptr;
       throw;
     }
-    reset();
-  }
-
-  std::size_t retainedBytes() const override {
-    return denseWriter_.capacity() * sizeof(rt::DependencyThreadPool::TaskId) +
-           lastWriter_.bucket_count() *
-               (sizeof(void*) +
-                sizeof(std::pair<const std::pair<int, std::int64_t>,
-                                 rt::DependencyThreadPool::TaskId>));
+    recording_ = nullptr;
   }
 
 private:
-  struct InlinePayload {
-    alignas(std::max_align_t) std::array<std::byte, 24> bytes;
+  using NodeId = rt::ReplayGraph::NodeId;
+  static constexpr NodeId kNoWriter = std::numeric_limits<NodeId>::max();
+
+  struct Record {
+    TaskFunction fn;
+    std::size_t offset; // of the input copy in Recording::payload
   };
 
-  static constexpr rt::DependencyThreadPool::TaskId kNoWriter =
-      std::numeric_limits<rt::DependencyThreadPool::TaskId>::max();
+  /// Everything one run() builds: the graph, one record per node, the
+  /// input copies and the last-writer tables.
+  struct Recording {
+    rt::ReplayGraph graph;
+    std::vector<Record> records;
+    std::vector<std::byte> payload;
+    std::vector<NodeId> deps; // createTask scratch
+    std::vector<NodeId> denseWriter;
+    std::unordered_map<std::pair<int, std::int64_t>, NodeId, PairHash>
+        lastWriter;
 
-  bool isDense(int idx, std::int64_t tag) const {
-    return idx == 0 && tag >= 0 &&
-           static_cast<std::size_t>(tag) < denseWriter_.size();
-  }
+    bool isDense(int idx, std::int64_t tag) const {
+      return idx == 0 && tag >= 0 &&
+             static_cast<std::size_t>(tag) < denseWriter.size();
+    }
 
-  void reset() {
-    pool_ = nullptr;
-    // Reuse-or-release: clear() keeps the high-water capacity, which is
-    // what repeated same-shape runs want (no steady-state allocations),
-    // but would pin one oversized run's memory forever. Release the
-    // backing storage once the capacity exceeds twice what this run
-    // actually used (with a small floor so tiny runs keep their seed
-    // allocation).
-    const std::size_t usedHash = lastWriter_.size();
-    const std::size_t usedDense = denseWriter_.size();
-    lastWriter_.clear();
-    denseWriter_.clear();
-    if (lastWriter_.bucket_count() > 2 * std::max<std::size_t>(usedHash, 16))
-      decltype(lastWriter_)().swap(lastWriter_);
-    if (denseWriter_.capacity() > 2 * std::max<std::size_t>(usedDense, 64))
-      decltype(denseWriter_)().swap(denseWriter_);
+    NodeId hashedWriter(int idx, std::int64_t tag) const {
+      auto it = lastWriter.find({idx, tag});
+      return it != lastWriter.end() ? it->second : kNoWriter;
+    }
+  };
+
+  static void runRecord(void* context, NodeId node, std::size_t) {
+    Recording& rec = *static_cast<Recording*>(context);
+    const Record& r = rec.records[node];
+    r.fn(rec.payload.data() + r.offset);
   }
 
   unsigned numThreads_;
-  rt::DependencyThreadPool* pool_ = nullptr;
-  std::mutex lastWriterMutex_;
-  // Both tables guarded by lastWriterMutex_.
-  std::unordered_map<std::pair<int, std::int64_t>,
-                     rt::DependencyThreadPool::TaskId, PairHash>
-      lastWriter_;
-  std::vector<rt::DependencyThreadPool::TaskId> denseWriter_;
+  // The active run's recording; null outside run(). Workers read it (in
+  // a nested createTask) only while runGraph publishes the run.
+  Recording* recording_ = nullptr;
 };
 
 } // namespace

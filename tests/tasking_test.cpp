@@ -10,8 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <functional>
 #include <mutex>
 #include <set>
+#include <string>
 #include <vector>
 
 namespace pipoly::tasking {
@@ -133,10 +136,10 @@ TEST(TaskingLayerTest, ZeroSizeInputTasksStillHonorDependencies) {
   }
 }
 
-/// Payload for tasks that create follow-up tasks from their own body —
-/// the threadpool backend advertises thread-safe createTask, so the
-/// last-writer table must be guarded (this test races task-body
-/// submissions against spawner submissions; TSAN validates the guard).
+/// Payload for tasks that try to create follow-up tasks from their own
+/// body. The threadpool backend records the spawner's tasks before any
+/// body runs, so it must reject every nested createTask with a
+/// diagnostic — never run it, deadlock on it or race its tables.
 struct SpawnerPayload {
   TaskingLayer* layer;
   std::atomic<int>* counter;
@@ -150,28 +153,197 @@ void leafBody(void* raw) {
 void rootBody(void* raw) {
   auto* p = static_cast<SpawnerPayload*>(raw);
   p->counter->fetch_add(1);
-  // Children chain on this root's published slot and publish their own.
-  for (int c = 0; c < 8; ++c) {
-    SpawnerPayload child{p->layer, p->counter, 0};
-    std::int64_t inDep = p->slot;
-    int inIdx = 1;
-    p->layer->createTask(&leafBody, &child, sizeof(child),
-                         /*outDepend=*/p->slot * 100 + c, /*outIdx=*/2,
-                         &inDep, &inIdx, 1);
+  SpawnerPayload child{p->layer, p->counter, 0};
+  std::int64_t inDep = p->slot;
+  int inIdx = 1;
+  p->layer->createTask(&leafBody, &child, sizeof(child),
+                       /*outDepend=*/p->slot * 100, /*outIdx=*/2, &inDep,
+                       &inIdx, 1);
+}
+
+TEST(TaskingLayerTest, NestedCreateTaskIsRejectedOnThreadPoolBackend) {
+  auto layer = makeThreadPoolBackend(4);
+  std::atomic<int> counter{0};
+  try {
+    layer->run([&] {
+      for (std::int64_t r = 0; r < 16; ++r) {
+        SpawnerPayload p{layer.get(), &counter, r};
+        layer->createTask(&rootBody, &p, sizeof(p), /*outDepend=*/r,
+                          /*outIdx=*/1, nullptr, nullptr, 0);
+      }
+    });
+    FAIL() << "a createTask from a task body must be rejected";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("running task body"),
+              std::string::npos)
+        << e.what();
+  }
+  // Every root ran to its createTask; no leaf was created.
+  EXPECT_EQ(counter.load(), 16);
+
+  // A nested run() from a task body is rejected the same way.
+  auto nestedRun = +[](void* raw) {
+    static_cast<SpawnerPayload*>(raw)->layer->run([] {});
+  };
+  SpawnerPayload outer{layer.get(), &counter, 0};
+  EXPECT_THROW(layer->run([&] {
+    layer->createTask(nestedRun, &outer, sizeof(outer), 0, 0, nullptr,
+                      nullptr, 0);
+  }),
+               Error);
+
+  // The backend is usable afterwards.
+  counter = 0;
+  layer->run([&] {
+    for (std::int64_t r = 0; r < 4; ++r) {
+      SpawnerPayload p{layer.get(), &counter, r};
+      layer->createTask(&leafBody, &p, sizeof(p), r, 0, nullptr, nullptr, 0);
+    }
+  });
+  EXPECT_EQ(counter.load(), 4);
+}
+
+/// Differential check for the threadpool backend's recording: `program`
+/// creates its tasks on a layer over a zeroed cell array, and the
+/// threadpool backend must leave the same cells as the serial one, run
+/// after run.
+using CellProgram = std::function<void(TaskingLayer&, std::uint64_t*)>;
+
+void expectSameCellsAsSerial(std::size_t numCells, const CellProgram& program) {
+  std::vector<std::uint64_t> expected(numCells, 0);
+  auto serial = makeSerialBackend();
+  serial->run([&] { program(*serial, expected.data()); });
+  auto pool = makeThreadPoolBackend(4);
+  for (int rep = 0; rep < 3; ++rep) {
+    std::vector<std::uint64_t> actual(numCells, 0);
+    pool->run([&] { program(*pool, actual.data()); });
+    EXPECT_EQ(actual, expected) << "rep " << rep;
   }
 }
 
-TEST(TaskingLayerTest, TaskBodiesMayCreateTasksOnThreadPoolBackend) {
-  auto layer = makeThreadPoolBackend(4);
-  std::atomic<int> counter{0};
-  layer->run([&] {
-    for (std::int64_t r = 0; r < 16; ++r) {
-      SpawnerPayload p{layer.get(), &counter, r};
-      layer->createTask(&rootBody, &p, sizeof(p), /*outDepend=*/r,
-                        /*outIdx=*/1, nullptr, nullptr, 0);
+/// An input well past any small inline buffer: the body folds its data
+/// words and the cells it reads into its own cell.
+struct WideInput {
+  std::uint64_t* cells;
+  std::uint32_t self;
+  std::uint32_t reads[3]; // kNoRead = unused
+  std::uint64_t data[8];
+};
+constexpr std::uint32_t kNoRead = UINT32_MAX;
+static_assert(sizeof(WideInput) > 64);
+
+/// Cell that zero-size tasks fold into (they get no input to name one).
+std::uint64_t* gZeroCell = nullptr;
+
+std::uint64_t mix(std::uint64_t acc, std::uint64_t v) {
+  return (acc ^ v) * 0x100000001b3ull + 0x9e3779b97f4a7c15ull;
+}
+
+void wideBody(void* raw) {
+  const WideInput& in = *static_cast<const WideInput*>(raw);
+  std::uint64_t acc = in.self;
+  for (std::uint64_t d : in.data)
+    acc = mix(acc, d);
+  for (std::uint32_t r : in.reads)
+    if (r != kNoRead)
+      acc = mix(acc, in.cells[r]);
+  if (gZeroCell != nullptr)
+    acc = mix(acc, *gZeroCell);
+  in.cells[in.self] = acc;
+}
+
+void zeroSizeFold(void*) { *gZeroCell = mix(*gZeroCell, 0xabcdef); }
+
+WideInput wide(std::uint64_t* cells, std::uint32_t self,
+               std::uint32_t r0 = kNoRead, std::uint32_t r1 = kNoRead) {
+  WideInput in{cells, self, {r0, r1, kNoRead}, {}};
+  for (std::uint32_t k = 0; k < 8; ++k)
+    in.data[k] = self * 8u + k;
+  return in;
+}
+
+TEST(TaskingLayerTest, ThreadPoolMatchesSerialOnWideInputs) {
+  // Four chains of 16 tasks, each task also reading the previous task of
+  // the chain to its left; every input is an 88-byte struct.
+  constexpr std::uint32_t kChains = 4, kLen = 16;
+  expectSameCellsAsSerial(kChains * kLen, [](TaskingLayer& layer,
+                                             std::uint64_t* cells) {
+    for (std::uint32_t k = 0; k < kLen; ++k)
+      for (std::uint32_t c = 0; c < kChains; ++c) {
+        const std::uint32_t self = c * kLen + k;
+        std::vector<std::int64_t> in;
+        WideInput input = wide(cells, self);
+        if (k > 0) {
+          input.reads[0] = self - 1;
+          in.push_back(self - 1);
+          if (c > 0) {
+            input.reads[1] = self - kLen - 1;
+            in.push_back(self - kLen - 1);
+          }
+        }
+        const std::vector<int> idx(in.size(), 0);
+        layer.createTask(&wideBody, &input, sizeof(input), self, 0,
+                         in.empty() ? nullptr : in.data(),
+                         idx.empty() ? nullptr : idx.data(), in.size());
+      }
+  });
+}
+
+TEST(TaskingLayerTest, ThreadPoolMatchesSerialOnDuplicateInDependencies) {
+  // Every task names the slot it reads two or three times in one
+  // createTask, on the hashed tier and on the dense one.
+  for (bool dense : {false, true})
+    expectSameCellsAsSerial(40, [dense](TaskingLayer& layer,
+                                        std::uint64_t* cells) {
+      if (dense)
+        layer.reserveDependencySlots(40);
+      for (std::uint32_t k = 0; k < 40; ++k) {
+        WideInput input = wide(cells, k);
+        std::vector<std::int64_t> in;
+        if (k > 0) {
+          input.reads[0] = k - 1;
+          in.assign(2 + k % 2, k - 1);
+        }
+        if (k > 1) {
+          input.reads[1] = k / 2;
+          in.push_back(k / 2);
+          in.push_back(k / 2);
+        }
+        const std::vector<int> idx(in.size(), 0);
+        layer.createTask(&wideBody, &input, sizeof(input), k, 0,
+                         in.empty() ? nullptr : in.data(),
+                         idx.empty() ? nullptr : idx.data(), in.size());
+      }
+    });
+}
+
+TEST(TaskingLayerTest, ThreadPoolMatchesSerialWithZeroSizeNullInputs) {
+  // Zero-size, null-input tasks sit between wide tasks of one chain and
+  // fold into a shared cell the next wide task reads.
+  constexpr std::uint32_t kWide = 20;
+  expectSameCellsAsSerial(kWide + 1, [](TaskingLayer& layer,
+                                        std::uint64_t* cells) {
+    gZeroCell = &cells[kWide];
+    for (std::uint32_t k = 0; k < kWide; ++k) {
+      WideInput input = wide(cells, k);
+      const std::int64_t prev = 2 * static_cast<std::int64_t>(k) - 1;
+      const int idx = 0;
+      layer.createTask(&wideBody, &input, sizeof(input), 2 * k, 0,
+                       k > 0 ? &prev : nullptr, k > 0 ? &idx : nullptr,
+                       k > 0 ? 1u : 0u);
+      const std::int64_t mine = 2 * k;
+      layer.createTask(&zeroSizeFold, nullptr, 0, 2 * k + 1, 0, &mine, &idx,
+                       1);
     }
   });
-  EXPECT_EQ(counter.load(), 16 + 16 * 8);
+  gZeroCell = nullptr;
+}
+
+TEST(TaskingLayerTest, ThreadPoolMatchesSerialOnAnEmptyProgram) {
+  expectSameCellsAsSerial(0, [](TaskingLayer&, std::uint64_t*) {});
+  expectSameCellsAsSerial(0, [](TaskingLayer& layer, std::uint64_t*) {
+    layer.reserveDependencySlots(8);
+  });
 }
 
 TEST(TaskingLayerTest, UnpublishedSlotIsImmediatelyReady) {

@@ -1,21 +1,21 @@
 // Concurrency stress tests for the work-stealing DependencyThreadPool.
 // These exercise exactly the races the executor's lock-free paths must
-// win — multi-producer submission, late registration against finishing
-// predecessors, deep chains that ping between deque pop and steal, and
-// randomized DAGs whose completion order is cross-checked against the
-// declared dependencies. The whole file must pass under ThreadSanitizer
-// (the CI `sanitize-thread` job runs it on every PR).
+// win — deep chains that ping between deque pop and steal, wide fan-in
+// and fan-out, randomized DAGs whose completion order is cross-checked
+// against the declared dependencies, and many short runs on one pool.
+// The whole file must pass under ThreadSanitizer (the CI
+// `sanitize-thread` job runs it on every PR).
 
 #include "runtime/thread_pool.hpp"
 
 #include "support/rng.hpp"
+#include "testing/closure_graph.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
-#include <thread>
 #include <vector>
 
 namespace pipoly::rt {
@@ -30,48 +30,24 @@ const bool kUncapWakes = [] {
   return true;
 }();
 
-using TaskId = DependencyThreadPool::TaskId;
-
-TEST(ThreadPoolStressTest, MultiProducerSubmits) {
-  DependencyThreadPool pool(4);
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 2000;
-  std::atomic<int> count{0};
-  {
-    std::vector<std::jthread> producers;
-    producers.reserve(kProducers);
-    for (int p = 0; p < kProducers; ++p)
-      producers.emplace_back([&pool, &count] {
-        // Each producer builds its own chain, so submissions from
-        // different threads interleave while dependencies stay valid.
-        std::vector<TaskId> prev;
-        for (int i = 0; i < kPerProducer; ++i) {
-          TaskId id = pool.submit([&count] { ++count; }, prev);
-          prev = {id};
-        }
-      });
-  } // join producers before waitAll: the count of "submitted so far"
-    // must be stable when waitAll samples it.
-  pool.waitAll();
-  EXPECT_EQ(count.load(), kProducers * kPerProducer);
-}
+using testing::ClosureGraph;
+using NodeId = ReplayGraph::NodeId;
 
 TEST(ThreadPoolStressTest, DeepDependencyChainTenThousand) {
   DependencyThreadPool pool(8);
   constexpr int kDepth = 10000;
   std::atomic<int> next{0};
-  std::vector<TaskId> prev;
-  for (int i = 0; i < kDepth; ++i) {
-    TaskId id = pool.submit(
+  ClosureGraph g;
+  std::vector<NodeId> prev;
+  for (int i = 0; i < kDepth; ++i)
+    prev = {g.add(
         [&next, i] {
           // Strict chain: task i must be the i-th to run.
           int expected = i;
           EXPECT_TRUE(next.compare_exchange_strong(expected, i + 1));
         },
-        prev);
-    prev = {id};
-  }
-  pool.waitAll();
+        prev)};
+  g.run(pool);
   EXPECT_EQ(next.load(), kDepth);
 }
 
@@ -80,68 +56,23 @@ TEST(ThreadPoolStressTest, LayeredDiamondFanInFanOut) {
   constexpr int kLayers = 50;
   constexpr int kWidth = 16;
   std::atomic<int> ran{0};
-  std::vector<TaskId> join;
+  ClosureGraph g;
+  std::vector<NodeId> join;
   for (int layer = 0; layer < kLayers; ++layer) {
-    std::vector<TaskId> mid;
+    std::vector<NodeId> mid;
     mid.reserve(kWidth);
     const int before = layer * (kWidth + 1);
     for (int w = 0; w < kWidth; ++w)
-      mid.push_back(pool.submit(
-          [&ran, before] { EXPECT_GE(ran.fetch_add(1), before); }, join));
+      mid.push_back(
+          g.add([&ran, before] { EXPECT_GE(ran.fetch_add(1), before); }, join));
     // The join sees every task of its own layer (and, transitively, all
     // earlier layers) completed.
     const int expect = (layer + 1) * kWidth + layer;
-    join = {pool.submit(
-        [&ran, expect] { EXPECT_EQ(ran.fetch_add(1), expect); }, mid)};
+    join = {g.add([&ran, expect] { EXPECT_EQ(ran.fetch_add(1), expect); },
+                  mid)};
   }
-  pool.waitAll();
+  g.run(pool);
   EXPECT_EQ(ran.load(), kLayers * (kWidth + 1));
-}
-
-TEST(ThreadPoolStressTest, TasksSpawnTasks) {
-  // A binary spawn tree built entirely from inside task bodies — the
-  // capability the old single-submitter scheduler ruled out and the
-  // nested pipeline blocking maps need.
-  DependencyThreadPool pool(4);
-  constexpr int kDepth = 10;
-  std::atomic<int> nodes{0};
-  std::function<void(int)> spawn = [&](int depth) {
-    ++nodes;
-    if (depth == 0)
-      return;
-    pool.submit([&spawn, depth] { spawn(depth - 1); }, {});
-    pool.submit([&spawn, depth] { spawn(depth - 1); }, {});
-  };
-  pool.submit([&spawn] { spawn(kDepth); }, {});
-  pool.waitAll();
-  EXPECT_EQ(nodes.load(), (1 << (kDepth + 1)) - 1);
-}
-
-TEST(ThreadPoolStressTest, SpawnedTasksCanDependOnSpawners) {
-  DependencyThreadPool pool(4);
-  constexpr std::size_t kOuter = 64;
-  std::atomic<int> inner{0};
-  std::vector<std::atomic<bool>> outerDone(kOuter);
-  for (std::size_t i = 0; i < kOuter; ++i) {
-    pool.submit(
-        [&pool, &inner, &outerDone, i] {
-          // Submit a dependent of the *currently running* task's
-          // already-finished predecessors plus a fresh sibling: the
-          // sibling id is valid because its submit happened-before.
-          TaskId sibling =
-              pool.submit([&outerDone, i] { outerDone[i] = true; }, {});
-          std::vector<TaskId> deps{sibling};
-          pool.submit(
-              [&inner, &outerDone, i] {
-                EXPECT_TRUE(outerDone[i].load());
-                ++inner;
-              },
-              deps);
-        },
-        {});
-  }
-  pool.waitAll();
-  EXPECT_EQ(inner.load(), static_cast<int>(kOuter));
 }
 
 TEST(ThreadPoolStressTest, RandomizedDagSoakCrossChecksDependencies) {
@@ -153,44 +84,51 @@ TEST(ThreadPoolStressTest, RandomizedDagSoakCrossChecksDependencies) {
   std::atomic<std::uint64_t> clock{1};
   std::vector<std::atomic<std::uint64_t>> started(kTasks);
   std::vector<std::atomic<std::uint64_t>> finished(kTasks);
-  std::vector<std::vector<TaskId>> deps(kTasks);
+  std::vector<std::vector<NodeId>> deps(kTasks);
+  ClosureGraph g;
   for (std::size_t i = 0; i < kTasks; ++i) {
     if (i > 0)
       for (std::size_t k = rng.nextBelow(4); k > 0; --k)
-        deps[i].push_back(rng.nextBelow(i));
-    pool.submit(
+        deps[i].push_back(static_cast<NodeId>(rng.nextBelow(i)));
+    g.add(
         [&, i] {
           started[i].store(clock.fetch_add(1));
-          for (TaskId d : deps[i])
+          for (NodeId d : deps[i])
             EXPECT_NE(finished[d].load(), 0u)
                 << "task " << i << " started before dep " << d << " finished";
           finished[i].store(clock.fetch_add(1));
         },
         deps[i]);
   }
-  pool.waitAll();
+  g.run(pool);
   for (std::size_t i = 0; i < kTasks; ++i) {
     ASSERT_NE(started[i].load(), 0u) << "task " << i << " never ran";
     EXPECT_LT(started[i].load(), finished[i].load());
-    for (TaskId d : deps[i])
+    for (NodeId d : deps[i])
       EXPECT_LT(finished[d].load(), started[i].load())
           << "task " << i << " overlapped its dep " << d;
   }
 }
 
 TEST(ThreadPoolStressTest, RepeatedWaitAllCyclesReuseThePool) {
+  // Many runs on one pool: a fresh fan-out/fan-in graph per cycle, and
+  // one frozen graph re-run every cycle (its counters re-armed each time).
   DependencyThreadPool pool(4);
   std::atomic<int> count{0};
-  std::vector<TaskId> lastCycle;
+  ClosureGraph frozen;
+  const NodeId root[] = {frozen.add([&count] { ++count; })};
+  for (int i = 0; i < 10; ++i)
+    frozen.add([&count] { ++count; }, root);
   for (int cycle = 0; cycle < 50; ++cycle) {
-    std::vector<TaskId> thisCycle;
+    ClosureGraph g;
+    const NodeId top[] = {g.add([&count] { ++count; })};
+    std::vector<NodeId> mid;
     for (int i = 0; i < 100; ++i)
-      // Depending on the previous (long-finished) cycle exercises the
-      // sealed-dependent-list fast path on every submission.
-      thisCycle.push_back(pool.submit([&count] { ++count; }, lastCycle));
-    pool.waitAll();
-    EXPECT_EQ(count.load(), (cycle + 1) * 100);
-    lastCycle = std::move(thisCycle);
+      mid.push_back(g.add([&count] { ++count; }, top));
+    g.add([&count] { ++count; }, mid);
+    g.run(pool);
+    frozen.run(pool);
+    EXPECT_EQ(count.load(), (cycle + 1) * (102 + 11));
   }
 }
 
@@ -200,36 +138,12 @@ TEST(ThreadPoolStressTest, OversubscribedWorkersDrainSmallGraphs) {
   DependencyThreadPool pool(16);
   std::atomic<int> count{0};
   for (int round = 0; round < 20; ++round) {
+    ClosureGraph g;
     for (int i = 0; i < 8; ++i)
-      pool.submit([&count] { ++count; }, {});
-    pool.waitAll();
+      g.add([&count] { ++count; });
+    g.run(pool);
   }
   EXPECT_EQ(count.load(), 20 * 8);
-}
-
-TEST(ThreadPoolStressTest, ExternalProducersRaceWorkerSpawners) {
-  // Mixed mode: external threads inject roots while task bodies spawn
-  // dependents — both submission paths (injection shards and worker
-  // deques) run concurrently.
-  DependencyThreadPool pool(4);
-  constexpr int kProducers = 3;
-  constexpr int kRoots = 300;
-  std::atomic<int> leaves{0};
-  {
-    std::vector<std::jthread> producers;
-    producers.reserve(kProducers);
-    for (int p = 0; p < kProducers; ++p)
-      producers.emplace_back([&pool, &leaves] {
-        for (int i = 0; i < kRoots; ++i)
-          pool.submit(
-              [&pool, &leaves] {
-                pool.submit([&leaves] { ++leaves; }, {});
-              },
-              {});
-      });
-  }
-  pool.waitAll();
-  EXPECT_EQ(leaves.load(), kProducers * kRoots);
 }
 
 } // namespace

@@ -2,6 +2,7 @@
 
 #include "support/assert.hpp"
 #include "support/rng.hpp"
+#include "testing/closure_graph.hpp"
 
 #include <gtest/gtest.h>
 
@@ -12,87 +13,91 @@
 namespace pipoly::rt {
 namespace {
 
+using testing::ClosureGraph;
+using NodeId = ReplayGraph::NodeId;
+
 TEST(ThreadPoolTest, RunsAllTasks) {
   DependencyThreadPool pool(4);
   std::atomic<int> count{0};
+  ClosureGraph g;
   for (int i = 0; i < 100; ++i)
-    pool.submit([&] { ++count; }, {});
-  pool.waitAll();
+    g.add([&] { ++count; });
+  g.run(pool);
   EXPECT_EQ(count.load(), 100);
 }
 
 TEST(ThreadPoolTest, HonorsDependencies) {
   DependencyThreadPool pool(4);
   std::atomic<int> stage{0};
-  auto a = pool.submit(
-      [&] {
-        int expected = 0;
-        EXPECT_TRUE(stage.compare_exchange_strong(expected, 1));
-      },
-      {});
-  std::vector<DependencyThreadPool::TaskId> deps{a};
-  auto b = pool.submit(
-      [&] {
-        int expected = 1;
-        EXPECT_TRUE(stage.compare_exchange_strong(expected, 2));
-      },
-      deps);
-  std::vector<DependencyThreadPool::TaskId> deps2{b};
-  pool.submit(
-      [&] {
-        int expected = 2;
-        EXPECT_TRUE(stage.compare_exchange_strong(expected, 3));
-      },
-      deps2);
-  pool.waitAll();
+  ClosureGraph g;
+  auto step = [&](int from) {
+    return [&stage, from] {
+      int expected = from;
+      EXPECT_TRUE(stage.compare_exchange_strong(expected, from + 1));
+    };
+  };
+  const NodeId a[] = {g.add(step(0))};
+  const NodeId b[] = {g.add(step(1), a)};
+  g.add(step(2), b);
+  g.run(pool);
   EXPECT_EQ(stage.load(), 3);
 }
 
 TEST(ThreadPoolTest, DiamondDependency) {
   DependencyThreadPool pool(4);
-  std::atomic<int> order{0};
-  std::atomic<int> leftDone{0}, rightDone{0};
-  auto top = pool.submit([&] { order = 1; }, {});
-  std::vector<DependencyThreadPool::TaskId> fromTop{top};
-  auto left = pool.submit([&] { leftDone = 1; }, fromTop);
-  auto right = pool.submit([&] { rightDone = 1; }, fromTop);
-  std::vector<DependencyThreadPool::TaskId> both{left, right};
-  pool.submit(
+  std::atomic<int> leftDone{0}, rightDone{0}, sinkRan{0};
+  ClosureGraph g;
+  const NodeId top[] = {g.add([] {})};
+  const NodeId both[] = {g.add([&] { leftDone = 1; }, top),
+                         g.add([&] { rightDone = 1; }, top)};
+  g.add(
       [&] {
         EXPECT_EQ(leftDone.load(), 1);
         EXPECT_EQ(rightDone.load(), 1);
+        sinkRan = 1;
       },
       both);
-  pool.waitAll();
+  g.run(pool);
+  EXPECT_EQ(sinkRan.load(), 1);
 }
 
 TEST(ThreadPoolTest, DependencyOnFinishedTask) {
+  // A later run on the same pool sees everything an earlier run wrote.
   DependencyThreadPool pool(2);
   std::atomic<int> value{0};
-  auto a = pool.submit([&] { value = 42; }, {});
-  pool.waitAll();
-  std::vector<DependencyThreadPool::TaskId> deps{a};
-  pool.submit([&] { EXPECT_EQ(value.load(), 42); }, deps);
-  pool.waitAll();
+  ClosureGraph first;
+  first.add([&] { value = 42; });
+  first.run(pool);
+  ClosureGraph second;
+  second.add([&] { EXPECT_EQ(value.load(), 42); });
+  second.run(pool);
 }
 
 TEST(ThreadPoolTest, ForwardOnlyDependenciesEnforced) {
   DependencyThreadPool pool(1);
-  std::vector<DependencyThreadPool::TaskId> bogus{42};
-  EXPECT_THROW((void)pool.submit([] {}, bogus), Error);
-  // Leave the pool in a sane state.
-  pool.waitAll();
+  ClosureGraph g;
+  const NodeId bogus[] = {42};
+  EXPECT_THROW(g.add([] {}, bogus), Error);
+  // The graph stays usable.
+  std::atomic<int> ok{0};
+  g.add([&] { ok = 1; });
+  g.run(pool);
+  EXPECT_EQ(ok.load(), 1);
 }
 
 TEST(ThreadPoolTest, ExceptionPropagatesFromWaitAll) {
+  // runGraph is the pool's wait-for-everything: it rethrows a body's
+  // exception once the run drained.
   DependencyThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("task failed"); }, {});
-  pool.submit([] {}, {});
-  EXPECT_THROW(pool.waitAll(), std::runtime_error);
+  ClosureGraph failing;
+  failing.add([] { throw std::runtime_error("task failed"); });
+  failing.add([] {});
+  EXPECT_THROW(failing.run(pool), std::runtime_error);
   // The pool stays usable afterwards.
   std::atomic<int> ok{0};
-  pool.submit([&] { ok = 1; }, {});
-  pool.waitAll();
+  ClosureGraph next;
+  next.add([&] { ok = 1; });
+  next.run(pool);
   EXPECT_EQ(ok.load(), 1);
 }
 
@@ -101,21 +106,22 @@ TEST(ThreadPoolTest, StressRandomDag) {
   SplitMix64 rng(7);
   const std::size_t n = 500;
   std::vector<std::atomic<bool>> done(n);
-  std::vector<std::vector<DependencyThreadPool::TaskId>> allDeps(n);
+  std::vector<std::vector<NodeId>> allDeps(n);
+  ClosureGraph g;
   for (std::size_t i = 0; i < n; ++i) {
     auto& deps = allDeps[i];
     for (std::size_t k = 0; k < rng.nextBelow(4) && i > 0; ++k)
-      deps.push_back(rng.nextBelow(i));
-    pool.submit(
-        [&, i, deps] {
-          for (auto d : deps)
+      deps.push_back(static_cast<NodeId>(rng.nextBelow(i)));
+    g.add(
+        [&, i] {
+          for (auto d : allDeps[i])
             EXPECT_TRUE(done[d].load()) << "task " << i << " ran before dep "
                                         << d;
           done[i].store(true);
         },
-        allDeps[i]);
+        deps);
   }
-  pool.waitAll();
+  g.run(pool);
   for (std::size_t i = 0; i < n; ++i)
     EXPECT_TRUE(done[i].load());
 }
@@ -123,68 +129,69 @@ TEST(ThreadPoolTest, StressRandomDag) {
 TEST(ThreadPoolTest, SingleThreadPoolStillCompletes) {
   DependencyThreadPool pool(1);
   std::atomic<int> count{0};
-  std::vector<DependencyThreadPool::TaskId> prev;
-  for (int i = 0; i < 50; ++i) {
-    auto id = pool.submit([&] { ++count; }, prev);
-    prev = {id};
-  }
-  pool.waitAll();
+  ClosureGraph g;
+  std::vector<NodeId> prev;
+  for (int i = 0; i < 50; ++i)
+    prev = {g.add([&] { ++count; }, prev)};
+  g.run(pool);
   EXPECT_EQ(count.load(), 50);
 }
 
 TEST(ThreadPoolTest, SelfDependencyRejected) {
   DependencyThreadPool pool(2);
-  // Ids are dense from a single submitter: after three tasks the next
-  // submit would get id 3, so a dependency on 3 is a self-dependency.
+  ClosureGraph g;
+  // After three nodes the next one gets id 3, so a dependency on 3 is a
+  // self-dependency.
   for (int i = 0; i < 3; ++i)
-    pool.submit([] {}, {});
-  std::vector<DependencyThreadPool::TaskId> self{3};
-  EXPECT_THROW((void)pool.submit([] {}, self), Error);
-  // The rejected submission leaves no half-armed task behind.
+    g.add([] {});
+  const NodeId self[] = {3};
+  EXPECT_THROW(g.add([] {}, self), Error);
+  // The rejected node leaves nothing half-added behind.
   std::atomic<int> ok{0};
-  pool.submit([&] { ok = 1; }, {});
-  pool.waitAll();
+  EXPECT_EQ(g.add([&] { ok = 1; }), 3u);
+  g.run(pool);
   EXPECT_EQ(ok.load(), 1);
 }
 
 TEST(ThreadPoolTest, OutOfRangeDependencyRejected) {
   DependencyThreadPool pool(2);
-  pool.submit([] {}, {});
-  std::vector<DependencyThreadPool::TaskId> bogus{1000000000};
-  EXPECT_THROW((void)pool.submit([] {}, bogus), Error);
-  pool.waitAll();
+  ClosureGraph g;
+  g.add([] {});
+  const NodeId bogus[] = {1000000000};
+  EXPECT_THROW(g.add([] {}, bogus), Error);
   std::atomic<int> ok{0};
-  pool.submit([&] { ok = 1; }, {});
-  pool.waitAll();
+  g.add([&] { ok = 1; });
+  g.run(pool);
   EXPECT_EQ(ok.load(), 1);
 }
 
 TEST(ThreadPoolTest, ExceptionMidGraphStillRunsDependentsFirstErrorWins) {
   // Documented policy: a failed task's dependents still run (errors are
-  // reported, never used to cancel the graph), and waitAll rethrows
+  // reported, never used to cancel the graph), and runGraph rethrows
   // exactly the *first* recorded error.
   DependencyThreadPool pool(4);
   std::atomic<bool> bRan{false}, cRan{false};
-  auto a = pool.submit([] { throw std::runtime_error("first"); }, {});
-  std::vector<DependencyThreadPool::TaskId> depA{a};
-  auto b = pool.submit(
+  ClosureGraph g;
+  const NodeId a[] = {g.add([] { throw std::runtime_error("first"); })};
+  const NodeId b[] = {g.add(
       [&] {
         bRan = true;
         throw std::runtime_error("second");
       },
-      depA);
-  std::vector<DependencyThreadPool::TaskId> depB{b};
-  pool.submit([&] { cRan = true; }, depB);
+      a)};
+  g.add([&] { cRan = true; }, b);
   try {
-    pool.waitAll();
-    FAIL() << "waitAll must rethrow";
+    g.run(pool);
+    FAIL() << "runGraph must rethrow";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "first");
   }
   EXPECT_TRUE(bRan.load());
   EXPECT_TRUE(cRan.load());
-  // The error was consumed: the next waitAll is clean.
-  pool.waitAll();
+  // The error was consumed: the next run is clean.
+  ClosureGraph clean;
+  clean.add([] {});
+  clean.run(pool);
 }
 
 TEST(ThreadPoolTest, WakeCapParsingAcceptsOnlyPositiveIntegers) {
@@ -331,17 +338,12 @@ TEST(ThreadPoolTest, ReplayGraphReportsBodyErrorsAfterDraining) {
   // A failed body still releases its dependents: everything ran.
   EXPECT_EQ(probe.runs.load(), 4u);
 
-  // The pool must stay fully usable afterwards — for graphs and for
-  // ordinary submissions.
+  // The pool and the graph must stay fully usable afterwards.
   probe.runs = 0;
   for (auto& f : probe.finished)
     f = 0;
   pool.runGraph(graph, 1, &probeBody, &probe);
   EXPECT_EQ(probe.runs.load(), 4u);
-  std::atomic<int> plain{0};
-  pool.submit([&] { ++plain; }, {});
-  pool.waitAll();
-  EXPECT_EQ(plain.load(), 1);
 }
 
 TEST(ThreadPoolTest, ReplayGraphBuildErrorsAreChecked) {
@@ -371,16 +373,17 @@ TEST(ThreadPoolTest, SingleWorkerExecutesAnyDagInTopologicalOrder) {
   DependencyThreadPool pool(1);
   SplitMix64 rng(11);
   const std::size_t n = 200;
-  std::vector<std::vector<DependencyThreadPool::TaskId>> deps(n);
+  std::vector<std::vector<NodeId>> deps(n);
   std::vector<std::size_t> position(n, 0);
   std::size_t clock = 0; // one worker: no synchronization needed
+  ClosureGraph g;
   for (std::size_t i = 0; i < n; ++i) {
     if (i > 0)
       for (std::size_t k = rng.nextBelow(3); k > 0; --k)
-        deps[i].push_back(rng.nextBelow(i));
-    pool.submit([&position, &clock, i] { position[i] = ++clock; }, deps[i]);
+        deps[i].push_back(static_cast<NodeId>(rng.nextBelow(i)));
+    g.add([&position, &clock, i] { position[i] = ++clock; }, deps[i]);
   }
-  pool.waitAll();
+  g.run(pool);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_GT(position[i], 0u) << "task " << i << " never ran";
     for (auto d : deps[i])
