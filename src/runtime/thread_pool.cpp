@@ -16,15 +16,17 @@ namespace pipoly::rt {
 
 namespace {
 
-/// Identifies the worker the current thread belongs to, if any, so
-/// makeReady() can push to the thread's own deque instead of the
-/// injection shards. Set once per worker thread; a pool's threads are
-/// joined before the pool dies, so a binding never outlives its pool.
-struct TlsBinding {
-  DependencyThreadPool* pool = nullptr;
-  unsigned index = 0;
-};
-thread_local TlsBinding tlsBinding;
+/// The pool the current thread is a worker of, if any, so runGraph() can
+/// reject a call from inside a task body. Set once per worker thread; a
+/// pool's threads are joined before the pool dies, so a binding never
+/// outlives its pool.
+thread_local const DependencyThreadPool* tlsPool = nullptr;
+
+/// Bumps a counter only its owner thread writes: a load and a store, no
+/// locked read-modify-write; other threads may read it at any time.
+void bump(std::atomic<std::uint64_t>& c, std::uint64_t by = 1) {
+  c.store(c.load(std::memory_order_relaxed) + by, std::memory_order_relaxed);
+}
 
 } // namespace
 
@@ -219,40 +221,39 @@ bool DependencyThreadPool::shouldWake(std::size_t searchingAllowance) const {
   return workers_.size() - asleep < wakeCap_;
 }
 
-void DependencyThreadPool::makeReady(Task task) {
-  if (tlsBinding.pool == this) {
-    // On a worker thread of this pool: push to its own deque (only the
-    // owner may push). Thieves pick it up if this worker stays busy.
-    Worker& me = *workers_[tlsBinding.index];
-    const bool hadBacklog = me.deque.sizeApprox() > 0;
-    me.deque.push(task);
-    // An empty deque means this worker will pop the task itself as soon
-    // as it returns to its loop — waking a sibling for it would only
-    // burn a futex. With backlog there is real parallel slack, so wake
-    // a thief if the throttle allows one.
-    if (hadBacklog && shouldWake())
-      idle_.notifyOne();
-  } else {
-    {
-      InjectionShard& shard = *injection_[task % injection_.size()];
-      std::lock_guard lock(shard.mutex);
-      shard.queue.push_back(task);
-      shard.count.store(shard.queue.size(), std::memory_order_seq_cst);
-    }
-    if (shouldWake())
-      idle_.notifyOne();
+void DependencyThreadPool::inject(Task task) {
+  {
+    InjectionShard& shard = *injection_[task % injection_.size()];
+    std::lock_guard lock(shard.mutex);
+    shard.queue.push_back(task);
+    shard.count.store(shard.queue.size(), std::memory_order_seq_cst);
   }
+  if (shouldWake())
+    idle_.notifyOne();
 }
 
-void DependencyThreadPool::sendGraphToken(ReplayGraph& graph,
+void DependencyThreadPool::sendGraphToken(Worker& me, ReplayGraph& graph,
                                           ReplayGraph::NodeId node,
                                           std::size_t batch) {
   std::atomic<std::uint32_t>& counter = graph.counters_[node].slot[batch & 1];
-  if (counter.fetch_sub(1, std::memory_order_acq_rel) == 1)
-    makeReady(encodeTask(node, batch));
+  if (counter.fetch_sub(1, std::memory_order_acq_rel) != 1)
+    return;
+  const Task task = encodeTask(node, batch);
+  // Bypass: the first task this emission releases is the worker's next
+  // one, with no deque traffic and no wake.
+  if (!me.next) {
+    me.next = task;
+    return;
+  }
+  // Every further one goes to the own deque (only the owner may push).
+  // The owner is busy with the kept task, so the push is backlog even if
+  // the deque was empty: wake a thief if the throttle allows one.
+  me.deque.push(task);
+  if (shouldWake())
+    idle_.notifyOne();
 }
 
-void DependencyThreadPool::runTask(Task task) {
+void DependencyThreadPool::runTask(Worker& me, Task task) {
   const auto node = static_cast<ReplayGraph::NodeId>(task & 0xffffffffu);
   const std::size_t batch = task >> 32;
   ReplayGraph& graph = *graph_;
@@ -262,7 +263,12 @@ void DependencyThreadPool::runTask(Task task) {
   // (the earliest candidates — our own batch+1 self token, a consumer's
   // batch+1 anti token, a producer's batch+2 pred token — all sit behind
   // the self token this execution emits below), so the relaxed store
-  // cannot race a token.
+  // cannot race a token. The bypass (sendGraphToken keeping a released
+  // task in me.next) leaves this argument and the group one below as
+  // they are: it changes which worker runs a released task and how soon,
+  // never when a (node, batch) becomes ready — every token is still one
+  // acq_rel decrement, and a kept task starts only after its counter
+  // reached zero, exactly like a pushed one.
   if (batch + 2 < graphBatches_)
     graph.counters_[node].slot[batch & 1].store(graph.indegSteady_[node],
                                                 std::memory_order_relaxed);
@@ -280,12 +286,12 @@ void DependencyThreadPool::runTask(Task task) {
   // cancel the stream.
   for (std::uint32_t k = graph.succOffsets_[node];
        k < graph.succOffsets_[node + 1]; ++k)
-    sendGraphToken(graph, graph.succs_[k], batch);
+    sendGraphToken(me, graph, graph.succs_[k], batch);
   if (batch + 1 < graphBatches_) {
-    sendGraphToken(graph, node, batch + 1); // self (write-after-write)
+    sendGraphToken(me, graph, node, batch + 1); // self (write-after-write)
     for (std::uint32_t k = graph.predOffsets_[node];
          k < graph.predOffsets_[node + 1]; ++k)
-      sendGraphToken(graph, graph.preds_[k], batch + 1); // anti
+      sendGraphToken(me, graph, graph.preds_[k], batch + 1); // anti
   }
 
   // Batch-group completion: the member that drops the group's batch-b
@@ -308,13 +314,13 @@ void DependencyThreadPool::runTask(Task task) {
       if (batch + 1 < graphBatches_) {
         for (std::uint32_t k = graph.groupOffsets_[g];
              k < graph.groupOffsets_[g + 1]; ++k)
-          sendGraphToken(graph, graph.groupMembers_[k], batch + 1);
+          sendGraphToken(me, graph, graph.groupMembers_[k], batch + 1);
         for (std::uint32_t e = graph.groupEdgeOffsets_[g];
              e < graph.groupEdgeOffsets_[g + 1]; ++e) {
           const std::uint32_t w = graph.groupEdgeTargets_[e];
           for (std::uint32_t k = graph.groupOffsets_[w];
                k < graph.groupOffsets_[w + 1]; ++k)
-            sendGraphToken(graph, graph.groupMembers_[k], batch + 1);
+            sendGraphToken(me, graph, graph.groupMembers_[k], batch + 1);
         }
       }
     }
@@ -331,7 +337,7 @@ void DependencyThreadPool::runTask(Task task) {
 void DependencyThreadPool::runGraph(ReplayGraph& graph, std::size_t numBatches,
                                     ReplayGraph::Body body, void* context) {
   PIPOLY_CHECK_MSG(graph.frozen_, "runGraph on an unfrozen ReplayGraph");
-  PIPOLY_CHECK_MSG(tlsBinding.pool != this,
+  PIPOLY_CHECK_MSG(tlsPool != this,
                    "runGraph from inside a task body would deadlock");
   PIPOLY_CHECK_MSG(graph_ == nullptr, "concurrent runGraph on one pool");
   PIPOLY_CHECK_MSG(numBatches <= kMaxGraphBatches, "too many batches");
@@ -358,11 +364,16 @@ void DependencyThreadPool::runGraph(ReplayGraph& graph, std::size_t numBatches,
   graphContext_ = context;
   graphBatches_ = numBatches;
   graphRemaining_.store(n * numBatches, std::memory_order_relaxed);
+  // The per-run trace counters are the difference of the workers'
+  // cumulative counts across the run; without a session this is the one
+  // relaxed load of trace::enabled().
+  const std::optional<Counts> before =
+      trace::enabled() ? std::optional<Counts>(counts()) : std::nullopt;
 
-  // Publish: the injection-shard mutex inside makeReady orders all the
+  // Publish: the injection-shard mutex inside inject orders all the
   // plain stores above before any worker touches a graph task.
   for (ReplayGraph::NodeId root : graph.roots_)
-    makeReady(encodeTask(root, 0));
+    inject(encodeTask(root, 0));
 
   {
     std::unique_lock lock(doneMutex_);
@@ -374,6 +385,19 @@ void DependencyThreadPool::runGraph(ReplayGraph& graph, std::size_t numBatches,
   graphBody_ = nullptr;
   graphContext_ = nullptr;
   graphBatches_ = 0;
+
+  if (before) {
+    // Every bypass and steal of this run happens-before the final
+    // graphRemaining_ decrement; parks of idle workers are counted up to
+    // this read.
+    const Counts after = counts();
+    trace::counter("pool.bypassed",
+                   static_cast<double>(after.bypassed - before->bypassed));
+    trace::counter("pool.steals",
+                   static_cast<double>(after.steals - before->steals));
+    trace::counter("pool.parks",
+                   static_cast<double>(after.parks - before->parks));
+  }
 
   std::exception_ptr error;
   {
@@ -443,15 +467,15 @@ bool DependencyThreadPool::tryFindWork(unsigned self, Task& out) {
       if (std::optional<Task> t = workers_[victim]->deque.steal()) {
         // Batch: grab a few more while the victim is hot, amortizing
         // the sweep. Extras go to our own deque (stealable again).
-        ++me.steals;
+        std::uint64_t stolen = 1;
         for (int extra = 0; extra < 7; ++extra) {
           std::optional<Task> more = workers_[victim]->deque.steal();
           if (!more)
             break;
           me.deque.push(*more);
-          ++me.steals;
+          ++stolen;
         }
-        trace::counter("pool.steals", static_cast<double>(me.steals));
+        bump(me.steals, stolen);
         out = *t;
         return true;
       }
@@ -461,24 +485,32 @@ bool DependencyThreadPool::tryFindWork(unsigned self, Task& out) {
 }
 
 void DependencyThreadPool::workerLoop(unsigned index) {
-  tlsBinding = TlsBinding{this, index};
+  tlsPool = this;
   trace::setThreadName("pool worker " + std::to_string(index));
   Worker& me = *workers_[index];
   Task task = 0;
   while (true) {
-    // Fast path: drain the own deque without touching the searching_
-    // gate. A worker with local work never suppresses producer wakeups
-    // (it does not announce itself as sweeping), so the gate's
-    // invariant is untouched.
+    // Fast path: the task the last emission kept, then the own deque,
+    // without touching the searching_ gate. A worker with local work
+    // never suppresses producer wakeups (it does not announce itself as
+    // sweeping), so the gate's invariant is untouched. Every path below
+    // ends in runTask and comes back here, so a worker never parks
+    // while it holds a kept task.
+    if (me.next) {
+      task = *std::exchange(me.next, std::nullopt);
+      bump(me.bypassed);
+      runTask(me, task);
+      continue;
+    }
     if (std::optional<Task> t = me.deque.pop()) {
-      runTask(*t);
+      runTask(me, *t);
       continue;
     }
     searching_.fetch_add(1, std::memory_order_seq_cst);
     const bool found = tryFindWork(index, task);
     searching_.fetch_sub(1, std::memory_order_seq_cst);
     if (found) {
-      runTask(task);
+      runTask(me, task);
       continue;
     }
     // Nothing visible: announce as sleeper, recheck (the announcement
@@ -494,15 +526,26 @@ void DependencyThreadPool::workerLoop(unsigned index) {
     }
     if (tryFindWork(index, task)) {
       idle_.cancelWait();
-      runTask(task);
+      runTask(me, task);
       continue;
     }
+    bump(me.parks);
     trace::instant("pool.park");
     idle_.wait(ticket);
     trace::instant("pool.unpark");
     if (shutdown_.load(std::memory_order_acquire))
       return;
   }
+}
+
+DependencyThreadPool::Counts DependencyThreadPool::counts() const {
+  Counts sum;
+  for (const std::unique_ptr<Worker>& w : workers_) {
+    sum.bypassed += w->bypassed.load(std::memory_order_relaxed);
+    sum.steals += w->steals.load(std::memory_order_relaxed);
+    sum.parks += w->parks.load(std::memory_order_relaxed);
+  }
+  return sum;
 }
 
 } // namespace pipoly::rt

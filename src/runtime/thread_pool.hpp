@@ -10,11 +10,17 @@
 //
 // The scheduler is lock-free on the hot path:
 //
-//   * Per-worker Chase–Lev deques (work_steal_deque.hpp). A task made
-//     runnable by a worker goes to that worker's own deque bottom
-//     (LIFO, cache-warm); idle workers steal from the top of victims'
-//     deques in randomized sweep order, so the oldest — typically
-//     largest — subgraphs migrate first.
+//   * Task bypass. When a finished task's token emission releases
+//     nodes, the first released (node, batch) becomes the same worker's
+//     next task: no deque push, no pop, no wake. In a serial chain the
+//     critical successor therefore stays on its core instead of being
+//     stolen behind a futex wake (Pipeflow's executor does the same).
+//   * Per-worker Chase–Lev deques (work_steal_deque.hpp). Every further
+//     task released by the same emission goes to the worker's own deque
+//     bottom (LIFO, cache-warm) and, since the owner is busy with the
+//     kept task, may wake a thief; idle workers steal from the top of
+//     victims' deques in randomized sweep order, so the oldest —
+//     typically largest — subgraphs migrate first.
 //   * The graph's roots are released from the calling thread into
 //     per-worker-indexed injection shards (small mutexed queues, sharded
 //     by node), which workers drain alongside their deques.
@@ -225,9 +231,18 @@ private:
     explicit Worker(std::uint64_t seed) : rng(seed) {}
     WorkStealDeque<Task> deque;
     SplitMix64 rng; // victim-selection randomness, owner-thread only
-    // Cumulative successful steals, owner-thread only; sampled into the
-    // "pool.steals" trace counter when a trace session is active.
-    std::uint64_t steals = 0;
+    // The first task released by the running task's token emission: the
+    // worker runs it next, ahead of its deque. Owner-thread only.
+    std::optional<Task> next;
+    // Cumulative tasks run through `next`, successful steals and parks.
+    // Only the owner writes them (load + store, no read-modify-write);
+    // runGraph() reads them to fold the per-run trace counters.
+    std::atomic<std::uint64_t> bypassed{0}, steals{0}, parks{0};
+  };
+
+  /// Sums of the workers' cumulative counters.
+  struct Counts {
+    std::uint64_t bypassed = 0, steals = 0, parks = 0;
   };
 
   struct InjectionShard {
@@ -246,10 +261,11 @@ private:
   }
 
   bool shouldWake(std::size_t searchingAllowance = 0) const;
-  void makeReady(Task task);
-  void runTask(Task task);
-  void sendGraphToken(ReplayGraph& graph, ReplayGraph::NodeId node,
+  void inject(Task task);
+  void runTask(Worker& me, Task task);
+  void sendGraphToken(Worker& me, ReplayGraph& graph, ReplayGraph::NodeId node,
                       std::size_t batch);
+  Counts counts() const;
   bool tryFindWork(unsigned self, Task& out);
   bool tryDrainInjection(unsigned self, std::size_t shard, Task& out);
   void workerLoop(unsigned index);

@@ -82,13 +82,6 @@ public:
     return result;
   }
 
-  /// Owner only: size estimate (exact between owner operations).
-  std::size_t sizeApprox() const {
-    const std::int64_t b = bottom_.load(std::memory_order_relaxed);
-    const std::int64_t t = top_.load(std::memory_order_relaxed);
-    return b > t ? static_cast<std::size_t>(b - t) : 0;
-  }
-
   /// Any thread: steals the oldest element. May spuriously fail (lost a
   /// race); callers are expected to sweep victims in a retry loop.
   std::optional<T> steal() {

@@ -27,17 +27,21 @@ CostModel calibrate(const scop::Scop& scop,
     for (std::size_t k = 0; k < count; ++k)
       sample.push_back(points[k * points.size() / count]);
 
-    // Warm-up pass, then timed repetitions.
+    // Warm-up pass, then timed repetitions. The fastest repetition is
+    // the cost: a preemption during one repetition inflates only that
+    // repetition, where a mean over all of them would carry it.
     for (const pb::Tuple& it : sample)
       exec(s, it);
-    Stopwatch sw;
-    for (int rep = 0; rep < kRepetitions; ++rep)
+    double fastest = 0.0;
+    for (int rep = 0; rep < kRepetitions; ++rep) {
+      Stopwatch sw;
       for (const pb::Tuple& it : sample)
         exec(s, it);
-    model.iterationCost.push_back(
-        sw.seconds() /
-        (static_cast<double>(kRepetitions) *
-         static_cast<double>(sample.size())));
+      const double seconds = sw.seconds();
+      fastest = rep == 0 ? seconds : std::min(fastest, seconds);
+    }
+    model.iterationCost.push_back(fastest /
+                                  static_cast<double>(sample.size()));
   }
   return model;
 }

@@ -14,7 +14,8 @@ namespace pipoly::sim {
 
 /// Runs up to 64 instances of every statement, spread evenly over its
 /// domain, through `exec` (one warm-up pass, then 3 timed repetitions)
-/// and returns a CostModel with the measured per-iteration costs. The
+/// and returns a CostModel with the per-iteration costs of the fastest
+/// repetition, so one preempted repetition does not skew a cost. The
 /// executor is invoked on real domain points, so statement bodies with
 /// data-dependent cost are averaged over a representative spread.
 /// `taskOverhead` is left at 0; combine with bench-style overhead

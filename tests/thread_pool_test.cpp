@@ -3,11 +3,13 @@
 #include "support/assert.hpp"
 #include "support/rng.hpp"
 #include "testing/closure_graph.hpp"
+#include "trace/trace.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <numeric>
+#include <string>
 #include <vector>
 
 namespace pipoly::rt {
@@ -390,6 +392,51 @@ TEST(ThreadPoolTest, SingleWorkerExecutesAnyDagInTopologicalOrder) {
       EXPECT_LT(position[d], position[i])
           << "task " << i << " ran before its dep " << d;
   }
+}
+
+/// The values of every `name` counter sample in a drained trace.
+std::vector<double> counterSamples(const trace::Trace& t,
+                                   const std::string& name) {
+  std::vector<double> values;
+  for (const trace::TraceEvent& e : t.events)
+    if (e.kind == trace::EventKind::Counter && e.name == name)
+      values.push_back(e.value);
+  return values;
+}
+
+TEST(ThreadPoolTest, PureChainBypassesEverySuccessorAndStealsNothing) {
+  // In a pure chain every finished node releases exactly its successor,
+  // which the bypass keeps on the same worker: n-1 tasks run in place
+  // per batch, and no task ever reaches a deque a thief could steal from
+  // (the root goes through an injection shard). The counters are folded
+  // once per runGraph.
+  constexpr std::size_t kNodes = 100;
+  constexpr int kRuns = 5;
+  DependencyThreadPool pool(4);
+  ClosureGraph g;
+  std::atomic<std::size_t> ran{0};
+  std::vector<NodeId> prev;
+  for (std::size_t i = 0; i < kNodes; ++i)
+    prev = {g.add([&ran] { ran.fetch_add(1); }, prev)};
+  trace::Session session;
+  session.start();
+  for (int run = 0; run < kRuns; ++run)
+    g.run(pool);
+  session.stop();
+  EXPECT_EQ(ran.load(), kNodes * kRuns);
+  const trace::Trace& t = session.trace();
+  EXPECT_EQ(counterSamples(t, "pool.bypassed"),
+            std::vector<double>(kRuns, double(kNodes - 1)));
+  EXPECT_EQ(counterSamples(t, "pool.steals"),
+            std::vector<double>(kRuns, 0.0));
+  EXPECT_EQ(counterSamples(t, "pool.parks").size(), std::size_t(kRuns));
+
+  // Without a session the pool emits nothing.
+  trace::Session quiet;
+  quiet.start();
+  quiet.stop();
+  g.run(pool);
+  EXPECT_TRUE(counterSamples(quiet.trace(), "pool.bypassed").empty());
 }
 
 } // namespace
